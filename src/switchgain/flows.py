@@ -14,6 +14,7 @@ Gramian is anchored at the left endpoint t0,
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +83,27 @@ def transition(sys: SystemSpec, sig: Signal, s: float, t: float) -> np.ndarray:
 
 
 def _gram_block(A, G, dt):
-    """int_0^dt e^{A s} G e^{A^T s} ds by the augmented block exponential."""
+    """int_0^dt e^{A s} G e^{A^T s} ds by the augmented block exponential.
+
+    The block exponential pairs e^{-A h} with e^{A h}, so its product cancels
+    catastrophically once |A| h is large; windows longer than 1/|A| are
+    built from a short one by doubling, W(2h) = W(h) + e^{A h} W(h) e^{A^T h}.
+    """
     n = A.shape[0]
+    span = dt * np.linalg.norm(A, 1)
+    doublings = math.ceil(math.log2(span)) if span > 1.0 else 0
+    h = dt / 2 ** doublings
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = -A
     M[:n, n:] = G
     M[n:, n:] = A.T
-    E = expm(M * dt)
-    return E[n:, n:].T @ E[:n, n:]
+    E = expm(M * h)
+    W = E[n:, n:].T @ E[:n, n:]
+    step = E[n:, n:].T
+    for _ in range(doublings):
+        W = W + step @ W @ step.T
+        step = step @ step
+    return W
 
 
 def gramians(sys: SystemSpec, sig: Signal, t0: float, t1: float) -> GramianPair:

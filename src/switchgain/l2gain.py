@@ -7,19 +7,56 @@ gamma exceeds the gain on [0, T] exactly when the backward Riccati equation
 horizon.  Bisection over gamma gives the gain; an adjoint power iteration on
 the discretized input-output operator provides an independent lower-bound
 oracle and witness inputs.
+
+The Riccati test needs no ODE solver.  Its answer depends only on the
+input-output map, so it runs on the minimal realization (dimension 0: every
+gamma passes).  In backward time, on a segment with constant mode, P = Y X^-1
+where [X; Y]' = H [X; Y], H = [[-A, -gamma^-2 BB'], [C'C, A']], X(0) = I,
+Y(0) = P0; so [X; Y](h) = expm(H h) [I; P0] is exact, and the solution
+exists on [0, h] exactly when X stays invertible there (at a singular X(s),
+some X(s)v = 0 while Y(s)v != 0, and |P| blows up).  A step is therefore
+sound only if no escape lies inside it, which the substep rule guarantees:
+
+- Comparison lemma.  With D = P - P0, Acl = A + gamma^-2 BB'P0 and R the
+  right-hand side, D' = R(P0) + Acl'D + D Acl + gamma^-2 D BB' D, so the
+  upper right Dini derivative of |D| (spectral norm) is at most
+  gamma^-2 |B|^2 |D|^2 + 2 mu(Acl) |D| + |R(P0)|, mu the 2-norm log-norm.
+  Hence |D(t)| <= r(t) for r' = a r^2 + b r + c, r(0) = 0, as long as r is
+  finite, and P cannot escape before r does.  _escape_time gives that time
+  in closed form.
+- Basis invariance.  In coordinates x = S z, S'PS solves the Riccati
+  equation of (S^-1 A S, S^-1 B, C S), and it escapes exactly when P does.
+  The bound computed in any basis is thus a bound for the same escape, and
+  so is the larger of two; the kernel takes the minimal basis and the basis
+  that balances the modes' horizon Gramians.
+- Halving.  Each substep is at most half the bound, so X stays invertible
+  on the whole step.  When expm gives a non-finite X or Y, or cond(X) >=
+  _COND_MAX, the step is halved; a shorter step satisfies the same
+  inequality, so the guarantee is kept.
+
+Escape is reported when |P| (Frobenius) reaches ESCAPE_NORM at a step end.
+Because a step never crosses an escape, the steps approach one
+geometrically and |P| reaches the threshold.  One shortcut decides
+infeasibility early: X(0) = I has determinant 1, so det X(t) < 0 for the
+exact flow over the rest of a segment proves that X turned singular, that
+is, an escape, before t.  It is trusted only when X(t) is far enough from
+singular that rounding cannot flip the sign.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# not used here; perfbench's test_uninstall_restores_the_library reads l2gain.solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.linalg import expm
 
 from .core import Signal, SignalClassSpec, SystemSpec, validate_membership
-from .flows import _clip_spans, _zoh_step
+from .flows import _clip_spans, _gram_block, _zoh_step
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
 from .spectral import RhoEstimate, class_tau, rho_lower, rho_upper
 
@@ -35,6 +72,7 @@ __all__ = [
 ]
 
 ESCAPE_NORM = 1e12
+_COND_MAX = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,38 +133,175 @@ def _reversed_segments(sig, T):
     return [(hi - lo, i) for lo, hi, i in reversed(spans)]
 
 
-def _riccati_feasible(sys, rev_segs, gamma):
-    """True when the backward Riccati equation stays bounded on the horizon."""
-    n = sys.n
+def _escape_time(a, b, c):
+    """Escape time of r' = a r^2 + b r + c, r(0) = 0, for a, c >= 0.
+
+    math.inf when r stays finite for all time: no quadratic term (a = 0), no
+    forcing (c = 0, so r stays 0), or a positive root (b < 0, real roots)
+    that r approaches as an equilibrium.  Otherwise the integral of
+    dr / (a r^2 + b r + c) over [0, inf) in closed form: the arctan branch for
+    a negative discriminant, the log branch for a nonnegative one (written
+    with log1p so neither tiny c nor a near-double root loses digits).
+    """
+    if a <= 0.0 or c <= 0.0:
+        return math.inf
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        w = math.sqrt(-disc)
+        return 2.0 * math.atan2(w, b) / w
+    if b <= 0.0:
+        return math.inf
+    s = math.sqrt(disc)
+    if s == 0.0:
+        return 2.0 / b
+    # (b + s) / (2 sqrt(ac)) - 1, with b - 2 sqrt(ac) = disc / (b + 2 sqrt(ac))
+    root = math.sqrt(a * c)
+    x = (disc / (b + 2.0 * root) + s) / (2.0 * root)
+    return 2.0 * math.log1p(x) / s
+
+
+def _balancing_transform(ms, horizon):
+    """(S, S^-1) that balances the modes' summed Gramians on [0, horizon].
+
+    In the basis x = S z both summed Gramians become the same diagonal
+    matrix.  None when a Gramian sum is not finite and positive definite
+    (a switched system can be minimal while no single mode is).
+    """
+    wc = sum(_gram_block(m.A, m.B @ m.B.T, horizon) for m in ms.modes)
+    wo = sum(_gram_block(m.A.T, m.C.T @ m.C, horizon) for m in ms.modes)
+    if not (np.all(np.isfinite(wc)) and np.all(np.isfinite(wo))):
+        return None
+    try:
+        lc = np.linalg.cholesky(0.5 * (wc + wc.T))
+        lo = np.linalg.cholesky(0.5 * (wo + wo.T))
+    except np.linalg.LinAlgError:
+        return None
+    U, hsv, Vt = np.linalg.svd(lo.T @ lc)
+    if not hsv[-1] > 0.0:
+        return None
+    root = 1.0 / np.sqrt(hsv)
+    return (lc @ Vt.T) * root, root[:, None] * (U.T @ lo.T)
+
+
+class _RiccatiKernel:
+    """Riccati escape-time test on the minimal realization of one system.
+
+    Built once per gain_for_signal call (once per gain_search, which shares
+    it): the reduction, the bases for the substep bound (the minimal one and,
+    when it exists, the balanced one for the horizon), and per mode A, BB',
+    C'C and |B|^2 in each basis.
+    """
+
+    def __init__(self, sys, horizon):
+        self.sys = sys
+        self.horizon = horizon
+        ms = minimal_realization(sys).sys_min
+        self.n = 0 if ms is None else ms.n
+        if ms is None:
+            self.modes = ()
+            return
+        eye = np.eye(self.n)
+        bal = _balancing_transform(ms, horizon)
+        self.bases = [(eye, eye)] + ([bal] if bal is not None else [])
+        self.modes = [(m.A, m.B @ m.B.T, m.C.T @ m.C,
+                       [np.linalg.norm(S_inv @ m.B, 2) ** 2 for _, S_inv in self.bases])
+                      for m in ms.modes]
+        # H = H0 + gamma^-2 Hq with H0 = [[-A, 0], [C'C, A']], Hq = [[0, -BB'], [0, 0]]
+        zero = np.zeros((self.n, self.n))
+        self.hamiltonian_parts = [(np.block([[-A, zero], [CTC, A.T]]),
+                                   np.block([[zero, -BBT], [zero, zero]]))
+                                  for A, BBT, CTC, _ in self.modes]
+
+    def hamiltonian(self, i, q):
+        H0, Hq = self.hamiltonian_parts[i]
+        return H0 + q * Hq
+
+    def escape_bound(self, i, q, P):
+        """Lower bound on the escape time of the Riccati solution from P.
+
+        The larger of the local comparison bounds over the bases; each is a
+        valid bound on its own.
+        """
+        A, BBT, CTC, b2s = self.modes[i]
+        Acl = A + q * (BBT @ P)
+        R = A.T @ P + P @ Acl + CTC
+        mats = []
+        for S, S_inv in self.bases:
+            Acl_k = S_inv @ Acl @ S
+            mats += [S.T @ R @ S, Acl_k + Acl_k.T]
+        eig = np.linalg.eigvalsh(np.stack(mats))
+        return max(_escape_time(q * b2, sym[-1], max(-r[0], r[-1]))
+                   for b2, r, sym in zip(b2s, eig[0::2], eig[1::2]))
+
+
+# the kernel a running gain_search shares with the gain_for_signal calls it makes
+_SEARCH_KERNEL = contextvars.ContextVar("switchgain_search_kernel", default=None)
+
+
+def _kernel(sys, T):
+    kern = _SEARCH_KERNEL.get()
+    if kern is None or kern.sys is not sys or kern.horizon != T:
+        kern = _RiccatiKernel(sys, T)
+    return kern
+
+
+def _flow(H, P, h):
+    """[X; Y] = expm(H h) [I; P], and the exponential itself."""
+    n = P.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # callers test X and Y for finiteness
+        E = expm(H * h)
+        return E[:n, :n] + E[:n, n:] @ P, E[n:, :n] + E[n:, n:] @ P, E
+
+
+def _escapes(H, P, t):
+    """True when det X(t) < 0 proves that the solution from P escapes before t.
+
+    Only when X(t) is finite and its smallest singular value exceeds
+    ||E|| (1 + ||P||) / _COND_MAX, so rounding cannot flip the sign.
+    """
+    X, _, E = _flow(H, P, t)
+    if not np.all(np.isfinite(X)):
+        return False
+    floor = np.linalg.norm(E) * (1.0 + np.linalg.norm(P)) / _COND_MAX
+    return np.linalg.svd(X, compute_uv=False)[-1] > floor and np.linalg.det(X) < 0.0
+
+
+def _riccati_feasible(kern, rev_segs, gamma):
+    """True when the backward Riccati equation stays bounded on the horizon.
+
+    Each constant-mode segment is propagated exactly, [X; Y] = expm(H h)
+    [I; P] and P = Y X^-1, in substeps h of at most half the escape-time
+    bound, halved again while X or Y is not finite or cond(X) >= _COND_MAX.
+    When the bound does not cover the rest of a segment, one trial across
+    it first looks for a certified escape (_escapes).
+    """
+    n = kern.n
     if n == 0:
         return True
-    inv_g2 = 1.0 / (gamma * gamma)
-    p = np.zeros(n * n)
+    q = 1.0 / (gamma * gamma)
+    P = np.zeros((n, n))
     for dt, i in rev_segs:
-        A, B, C = sys.A(i), sys.B(i), sys.C(i)
-        BBT = B @ B.T
-        CTC = C.T @ C
-
-        def rhs(_, pv):
-            P = pv.reshape(n, n)
-            dP = A.T @ P + P @ A + CTC + inv_g2 * (P @ BBT @ P)
-            return dP.reshape(-1)
-
-        def escape(_, pv):
-            val = float(np.linalg.norm(pv))
-            return ESCAPE_NORM - (val if math.isfinite(val) else 2 * ESCAPE_NORM)
-
-        escape.terminal = True
-        with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(rhs, (0.0, dt), p, method="RK45",
-                            rtol=1e-8, atol=1e-10, events=escape)
-        if sol.status != 0 or not sol.success:
-            return False
-        p = sol.y[:, -1]
-        if not np.all(np.isfinite(p)):
-            return False
-        P = p.reshape(n, n)
-        p = (0.5 * (P + P.T)).reshape(-1)
+        H = kern.hamiltonian(i, q)
+        left = dt
+        tried = False
+        while left > 0.0:
+            h = min(left, 0.5 * kern.escape_bound(i, q, P))
+            if h < left and not tried:
+                tried = True
+                if _escapes(H, P, left):
+                    return False
+            while True:
+                X, Y, _ = _flow(H, P, h)
+                if np.all(np.isfinite(X)) and np.all(np.isfinite(Y)):
+                    U, sv, Vt = np.linalg.svd(X)
+                    if sv[0] < _COND_MAX * sv[-1]:
+                        break
+                h *= 0.5
+            P = (Y @ Vt.T / sv) @ U.T
+            P = 0.5 * (P + P.T)
+            if not np.linalg.norm(P) < ESCAPE_NORM:
+                return False
+            left -= h
     return True
 
 
@@ -153,25 +328,26 @@ def gain_for_signal(
 
     if sys.n == 0 or all(np.all(sys.C(i) == 0.0) for _, i in rev):
         return GainEstimate(0.0, T, "rde_bisection", tol, witness_signal=sig)
+    kern = _kernel(sys, T)
 
     # canonical dyadic bracket: the smallest feasible power of two, so the
     # bisection sequence (hence the returned value) does not depend on the
     # warm start; nested search sweeps then reproduce identical values
     m = max(int(math.ceil(math.log2(max(gamma_hi, 1.0)))), 0)
     probes = 0
-    while not _riccati_feasible(sys, rev, 2.0 ** m):
+    while not _riccati_feasible(kern, rev, 2.0 ** m):
         m += 1
         probes += 1
         if probes > 60:
             raise RuntimeError("no feasible gamma found; gain appears unbounded")
     if probes == 0:
-        while m > -40 and _riccati_feasible(sys, rev, 2.0 ** (m - 1)):
+        while m > -40 and _riccati_feasible(kern, rev, 2.0 ** (m - 1)):
             m -= 1
     hi = 2.0 ** m
     lo = 0.0
     while hi - lo > tol * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        if _riccati_feasible(sys, rev, mid):
+        if _riccati_feasible(kern, rev, mid):
             hi = mid
         else:
             lo = mid
@@ -331,57 +507,64 @@ def gain_search(
     if dwell_cls is None:
         raise ValueError(f"gain search supports arbitrary/dwell classes, not {cls.kind!r}")
 
-    best = None
-    best_sig = None
-    seen = 0
-    for sig in _candidate_signals(sys.n_modes, T, max_switches, duration_grid):
-        seen += 1
-        if seen > eval_budget:
-            break
-        if tau > 0 and not validate_membership(sig, dwell_cls).ok:
-            continue
-        if best is not None and best > 0:
-            # one feasibility probe at the incumbent: a candidate whose RDE
-            # survives at gamma = best cannot raise the maximum
-            if _riccati_feasible(sys, _reversed_segments(sig, T), best):
+    # one reduction and balancing for every candidate, shared with gain_for_signal
+    kern = _RiccatiKernel(sys, T)
+    token = _SEARCH_KERNEL.set(kern)
+    try:
+        best = None
+        best_sig = None
+        seen = 0
+        for sig in _candidate_signals(sys.n_modes, T, max_switches, duration_grid):
+            seen += 1
+            if seen > eval_budget:
+                break
+            if tau > 0 and not validate_membership(sig, dwell_cls).ok:
                 continue
-            est = gain_for_signal(sys, sig, T, tol, gamma_hi=best)
-        else:
-            est = gain_for_signal(sys, sig, T, tol)
-        if best is None or est.value > best:
-            best = est.value
-            best_sig = sig
-    if best is None:
-        raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
-
-    if refine and len(best_sig.segments) > 1:
-        segs = list(best_sig.segments)
-        switch_times = np.cumsum([d for _, d in segs])[:-1]
-        for _ in range(2):
-            for j in range(len(switch_times)):
-                lo_lim = (switch_times[j - 1] if j else 0.0) + max(tau, 1e-6)
-                hi_lim = (switch_times[j + 1] if j + 1 < len(switch_times) else T) - max(tau, 1e-6)
-                if hi_lim <= lo_lim:
+            if best is not None and best > 0:
+                # one feasibility probe at the incumbent: a candidate whose RDE
+                # survives at gamma = best cannot raise the maximum
+                if _riccati_feasible(kern, _reversed_segments(sig, T), best):
                     continue
+                est = gain_for_signal(sys, sig, T, tol, gamma_hi=best)
+            else:
+                est = gain_for_signal(sys, sig, T, tol)
+            if best is None or est.value > best:
+                best = est.value
+                best_sig = sig
+        if best is None:
+            raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
 
-                def value_at(t_j):
-                    ts = switch_times.copy()
-                    ts[j] = t_j
-                    bounds = np.concatenate([[0.0], ts, [T]])
-                    sig2 = Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
-                                        for i in range(len(segs))))
-                    if tau > 0 and not validate_membership(sig2, dwell_cls).ok:
-                        return -1.0, None
-                    if best > 0 and _riccati_feasible(sys, _reversed_segments(sig2, T), best):
-                        return -1.0, None
-                    return gain_for_signal(sys, sig2, T, tol, gamma_hi=best or 1.0).value, sig2
+        if refine and len(best_sig.segments) > 1:
+            segs = list(best_sig.segments)
+            switch_times = np.cumsum([d for _, d in segs])[:-1]
+            for _ in range(2):
+                for j in range(len(switch_times)):
+                    lo_lim = (switch_times[j - 1] if j else 0.0) + max(tau, 1e-6)
+                    nxt = switch_times[j + 1] if j + 1 < len(switch_times) else T
+                    hi_lim = nxt - max(tau, 1e-6)
+                    if hi_lim <= lo_lim:
+                        continue
 
-                candidates = np.linspace(lo_lim, hi_lim, 5)
-                for t_j in candidates:
-                    v, sig2 = value_at(float(t_j))
-                    if v > best:
-                        best, best_sig = v, sig2
-                        switch_times[j] = t_j
+                    def value_at(t_j):
+                        ts = switch_times.copy()
+                        ts[j] = t_j
+                        bounds = np.concatenate([[0.0], ts, [T]])
+                        sig2 = Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
+                                            for i in range(len(segs))))
+                        if tau > 0 and not validate_membership(sig2, dwell_cls).ok:
+                            return -1.0, None
+                        if best > 0 and _riccati_feasible(kern, _reversed_segments(sig2, T), best):
+                            return -1.0, None
+                        return gain_for_signal(sys, sig2, T, tol, gamma_hi=best or 1.0).value, sig2
+
+                    candidates = np.linspace(lo_lim, hi_lim, 5)
+                    for t_j in candidates:
+                        v, sig2 = value_at(float(t_j))
+                        if v > best:
+                            best, best_sig = v, sig2
+                            switch_times[j] = t_j
+    finally:
+        _SEARCH_KERNEL.reset(token)
     return GainEstimate(best, T, "search", tol, witness_signal=best_sig)
 
 

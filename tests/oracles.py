@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity along a path disjoint from the library
-implementation: adaptive Runge-Kutta for flows, composite Simpson quadrature
-for Gramians, explicit word enumeration for reachable spans, a frequency
-sweep for unswitched H-infinity norms, and the closed-form Riccati escape
-time for the finite-horizon gain of a stable scalar mode.
+implementation: adaptive Runge-Kutta for flows and for the Riccati escape-time
+test, composite Simpson quadrature for Gramians, explicit word enumeration for
+reachable spans, a frequency sweep for unswitched H-infinity norms, and the
+closed-form Riccati escape time for the finite-horizon gain of a stable scalar
+mode.
 """
 
 import math
@@ -12,6 +13,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from switchgain.l2gain import ESCAPE_NORM
 
 
 def rk_flow(sys, sig, s, t, x0, rtol=1e-10, atol=1e-12):
@@ -28,6 +31,71 @@ def rk_flow(sys, sig, s, t, x0, rtol=1e-10, atol=1e-12):
         sol = solve_ivp(rhs, (a, b), x, rtol=rtol, atol=atol, method="RK45")
         x = sol.y[:, -1]
     return x
+
+
+def rk_riccati_feasible(sys, rev_segs, gamma):
+    """Riccati escape-time test by adaptive Runge-Kutta on the full system.
+
+    rev_segs lists (duration, mode) backwards from the end of the horizon.
+    The backward equation -P' = A'P + PA + C'C + gamma^-2 P B B' P with
+    P(T) = 0 is integrated segment by segment with RK45; the test fails as
+    soon as |P| (Frobenius) reaches ESCAPE_NORM or the solver stops.
+    """
+    n = sys.n
+    if n == 0:
+        return True
+    inv_g2 = 1.0 / (gamma * gamma)
+    p = np.zeros(n * n)
+    for dt, i in rev_segs:
+        A, B, C = sys.A(i), sys.B(i), sys.C(i)
+        BBT = B @ B.T
+        CTC = C.T @ C
+
+        def rhs(_, pv):
+            P = pv.reshape(n, n)
+            dP = A.T @ P + P @ A + CTC + inv_g2 * (P @ BBT @ P)
+            return dP.reshape(-1)
+
+        def escape(_, pv):
+            val = float(np.linalg.norm(pv))
+            return ESCAPE_NORM - (val if math.isfinite(val) else 2 * ESCAPE_NORM)
+
+        escape.terminal = True
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(rhs, (0.0, dt), p, method="RK45",
+                            rtol=1e-8, atol=1e-10, events=escape)
+        if sol.status != 0 or not sol.success:
+            return False
+        p = sol.y[:, -1]
+        if not np.all(np.isfinite(p)):
+            return False
+        P = p.reshape(n, n)
+        p = (0.5 * (P + P.T)).reshape(-1)
+    return True
+
+
+def rk_gain(sys, rev_segs, tol):
+    """Gain by bisection on rk_riccati_feasible over the library's dyadic bracket.
+
+    Same bracket and midpoints as l2gain.gain_for_signal (gamma_hi = 1), so
+    two runs that take the same decisions return the same value.
+    """
+    m = 0
+    while not rk_riccati_feasible(sys, rev_segs, 2.0 ** m):
+        m += 1
+        if m > 60:
+            raise RuntimeError("no feasible gamma found")
+    if m == 0:
+        while m > -40 and rk_riccati_feasible(sys, rev_segs, 2.0 ** (m - 1)):
+            m -= 1
+    hi, lo = 2.0 ** m, 0.0
+    while hi - lo > tol * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if rk_riccati_feasible(sys, rev_segs, mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def simpson_gramians(sys, sig, t0, t1, n_panels=2000):

@@ -76,6 +76,15 @@ class TestFiniteness:
         assert code == 0
         assert json.loads(out.read_text())["verdict"] == "finite"
 
+    def test_readme_example_infinite_exit_zero(self, tmp_path):
+        path = tmp_path / "example.json"
+        assert main(["gallery", "--emit-example", "--alpha", "4.5047", "--out", str(path)]) == 0
+        out = tmp_path / "fin.json"
+        code = main(["finiteness", "--system", str(path), "--class", "arb", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "infinite" and doc["rho"]["lower"] > 1.0
+
     def test_undetermined_exit_two(self, tmp_path):
         path = tmp_path / "example.json"
         path.write_text(serialize_system(example_system(4.504679)))

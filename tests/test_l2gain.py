@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from switchgain import (
     Mode,
@@ -15,6 +17,7 @@ from switchgain import (
     minimal_realization,
     tau_min,
 )
+from switchgain import l2gain
 from switchgain.gallery import (
     alpha_star,
     common_lyapunov_modes,
@@ -22,9 +25,10 @@ from switchgain.gallery import (
     planted_reducible_system,
     rotated_nodes_pair,
 )
+from switchgain.l2gain import _escape_time, _reversed_segments, _riccati_feasible, _RiccatiKernel
 from switchgain.spectral import rho_curve
 
-from oracles import hinf_norm, scalar_finite_horizon_gain
+from oracles import hinf_norm, rk_gain, rk_riccati_feasible, scalar_finite_horizon_gain
 
 ARB = SignalClassSpec.arbitrary()
 
@@ -59,6 +63,13 @@ class TestGainForSignal:
         est = gain_for_signal(sysm, Signal(((0, T),)), T, tol=1e-5)
         exact = scalar_finite_horizon_gain(a, b, c, T)
         assert abs(est.value - exact) <= 2e-5 * max(exact, 1.0)
+
+    def test_unstable_unreachable_state(self):
+        # x1' = 2 x1 is never driven and only inflates a full-order Riccati
+        # solution; the input-output map is 1/(s+1)
+        sysm = single_mode(np.diag([2.0, -1.0]), [[0.0], [1.0]], [[1.0, 1.0]])
+        est = gain_for_signal(sysm, Signal(((0, 10.0),)), 10.0, tol=1e-5)
+        assert abs(est.value - scalar_finite_horizon_gain(-1.0, 1.0, 1.0, 10.0)) <= 2e-5
 
     def test_zero_output(self):
         sysm = single_mode([[-1.0]], [[1.0]], [[0.0]])
@@ -99,6 +110,121 @@ class TestGainForSignal:
         power = gain_power_lower(sysm, sig, 6.0, 0.005)
         assert power.value <= est.value * (1 + 2e-3)
         assert power.value >= 0.9 * est.value
+
+
+class TestEscapeTime:
+    @pytest.mark.parametrize("a, b, c", [
+        (1.0, 1.0, 1.0),         # discriminant < 0
+        (2.0, -1.0, 1.0),        # discriminant < 0, b < 0
+        (1.0, 2.0, 1.0),         # discriminant = 0
+        (1.0, 3.0, 1.0),         # discriminant > 0
+        (0.5, 4.0, 1e-3),        # discriminant > 0, small c
+    ])
+    def test_matches_quadrature(self, a, b, c):
+        want, err = quad(lambda r: 1.0 / (a * r * r + b * r + c), 0.0, np.inf,
+                         epsabs=0.0, epsrel=1e-12, limit=200)
+        assert _escape_time(a, b, c) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (0.0, 1.0, 1.0),         # no quadratic term: r grows at most exponentially
+        (1.0, 1.0, 0.0),         # no forcing: r stays 0
+        (1.0, -3.0, 1.0),        # positive root (3 - sqrt 5)/2 is an equilibrium
+    ])
+    def test_infinite_cases(self, a, b, c):
+        assert _escape_time(a, b, c) == math.inf
+
+
+def zero_transfer():
+    """A = diag(-1, -2), B = e1, C = e2': the input never reaches the output."""
+    return single_mode(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]])
+
+
+def near_cancelling(eps):
+    """A = [[-1, 0], [eps, -2]], B = e1, C = e2': transfer eps / ((s + 1)(s + 2))."""
+    return single_mode([[-1.0, 0.0], [eps, -2.0]], [[1.0], [0.0]], [[0.0, 1.0]])
+
+
+def alternating_nodes_signal(segments=200, seed=0):
+    rng = np.random.default_rng(seed)
+    durations = rng.uniform(0.1, 0.15, size=segments)
+    return Signal(tuple((k % 2, float(d)) for k, d in enumerate(durations)))
+
+
+def planted3():
+    return planted_reducible_system(2, 1, 1, 2, 1, 1, seed=3)[0]
+
+
+NODES_SIG = Signal(((0, 0.7), (1, 0.9), (0, 1.4)))
+PLANTED_SIG = Signal(((0, 0.3), (1, 0.2), (0, 0.25)))
+
+# name -> () -> (system, signal, horizon)
+PARITY_CASES = {
+    "nodes_-1_-4_1.5": lambda: (rotated_nodes_pair(-1.0, -4.0, 1.5), NODES_SIG, 3.0),
+    "nodes_default": lambda: (rotated_nodes_pair(), NODES_SIG, 3.0),
+    "planted3": lambda: (planted3(), PLANTED_SIG, 0.75),
+    "planted3_min": lambda: (minimal_realization(planted3()).sys_min, PLANTED_SIG, 0.75),
+    "example_alpha_star": lambda: (example_system(alpha_star(1e-5)),
+                                   Signal(((0, 1.0), (1, 1.5), (2, 1.0), (0, 1.5))), 5.0),
+    "scalar_T50": lambda: (single_mode([[-1.0]], [[1.0]], [[1.0]]), Signal(((0, 50.0),)), 50.0),
+    "b_zero": lambda: (single_mode(np.diag([-1.0, -2.0]), np.zeros((2, 1)), [[1.0, 1.0]]),
+                       Signal(((0, 2.0),)), 2.0),
+    # above the gain the step bound is infinite (mu(A) < 0), and one step over
+    # the whole segment gives cond(X) ~ e^177: only the halving guard keeps P
+    # accurate
+    "stiff": lambda: (single_mode(np.diag([-1.0, -60.0]), [[1.0], [1.0]], [[1.0, 1.0]]),
+                      Signal(((0, 3.0),)), 3.0),
+}
+
+
+class TestRiccatiKernelParity:
+    """The exact Hamiltonian kernel against the adaptive RK45 oracle."""
+
+    TOL = 1e-4
+
+    @pytest.mark.parametrize("name", PARITY_CASES)
+    def test_decisions_and_gain_match_rk45(self, name):
+        sysm, sig, T = PARITY_CASES[name]()
+        rev = _reversed_segments(sig, T)
+        gain = gain_for_signal(sysm, sig, T, tol=self.TOL).value
+        assert abs(gain - rk_gain(sysm, rev, self.TOL)) <= self.TOL * max(gain, 1.0)
+        kern = _RiccatiKernel(sysm, T)
+        grid = (0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 4.0, *(gain * f for f in (0.5, 0.98, 1.02, 2.0)))
+        for gamma in grid:
+            assert _riccati_feasible(kern, rev, gamma) == rk_riccati_feasible(sysm, rev, gamma), \
+                f"decision differs at gamma={gamma!r}"
+
+
+class TestStepBoundRegressions:
+    """Inputs on which a step bound from a single basis takes millions of steps."""
+
+    TOL = 1e-4
+
+    def timed_gain(self, sysm, sig, T):
+        t0 = time.monotonic()
+        gain = gain_for_signal(sysm, sig, T, tol=self.TOL).value
+        assert time.monotonic() - t0 < 2.0
+        return gain
+
+    def test_zero_transfer(self):
+        assert self.timed_gain(zero_transfer(), Signal(((0, 1.0),)), 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_near_cancelling(self, eps):
+        sysm, sig = near_cancelling(eps), Signal(((0, 1.0),))
+        gain = self.timed_gain(sysm, sig, 1.0)
+        want = rk_gain(sysm, _reversed_segments(sig, 1.0), self.TOL)
+        assert 0.0 < gain and abs(gain - want) <= self.TOL * max(want, 1.0)
+
+    def test_long_alternating_nodes_signal(self):
+        sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
+        T = sig.horizon
+        gain = self.timed_gain(sysm, sig, T)
+        # the bisection bracket [lo, hi] holds the gain; the oracle must agree
+        # on both sides of it
+        rev = _reversed_segments(sig, T)
+        width = self.TOL * max(gain, 1.0)
+        assert not rk_riccati_feasible(sysm, rev, gain - width)
+        assert rk_riccati_feasible(sysm, rev, gain + width)
 
 
 class TestPowerLower:
@@ -180,6 +306,19 @@ class TestGainSearch:
                               duration_grid=grid, refine=False, eval_budget=40, tol=1e-5)
             vals.append(est.value)
         assert vals[0] <= vals[1] + 1e-9
+
+    def test_reduces_once_per_search(self, monkeypatch):
+        calls = []
+        reduce = l2gain.minimal_realization
+
+        def counted(sysm):
+            calls.append(sysm)
+            return reduce(sysm)
+
+        monkeypatch.setattr(l2gain, "minimal_realization", counted)
+        gain_search(rotated_nodes_pair(-1.0, -4.0, 1.5), ARB, 1.0, max_switches=1,
+                    eval_budget=6)
+        assert len(calls) == 1
 
     def test_unsupported_class(self):
         sysm = single_mode([[-1.0]], [[1.0]], [[1.0]])
