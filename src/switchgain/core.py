@@ -168,14 +168,6 @@ class SignalClassSpec:
     def bv(T, nu):
         return SignalClassSpec("bv", T=float(T), nu=float(nu))
 
-    def dwell_floor(self):
-        """Minimum dwell implied by the class: tau for dwell, 0 for arbitrary."""
-        if self.kind == "dwell":
-            return self.tau
-        if self.kind == "arbitrary":
-            return 0.0
-        raise ValueError(f"class kind {self.kind!r} has no dwell encoding")
-
 
 def _check_segments(segments, value_check, value_name):
     if not segments:

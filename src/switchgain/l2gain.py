@@ -604,7 +604,6 @@ def finiteness_test(
     tau = class_tau(cls)
     window = obs_window if obs_window else max(1.0, 2.0 * tau)
     obs = check_uniform_observability(ms, cls, window, samples=obs_samples, seed=seed)
-    certified_upper = "stabilized" in est.flags and "long_dwell_heuristic" not in est.flags
 
     obs_text = {
         "uniformly_observable": "minimal realization is uniformly observable",
@@ -612,7 +611,7 @@ def finiteness_test(
         "inconclusive": "uniform observability is inconclusive",
     }[obs.verdict]
 
-    if est.upper < 1.0 and certified_upper:
+    if est.upper < 1.0 and est.certified:
         verdict = "finite"
         rationale = f"certified rho upper bound {est.upper:.6f} < 1"
     elif est.lower > 1.0:
@@ -635,8 +634,7 @@ def _classify_tau(ms, tau, search_opts, upper_opts):
     if lower_est.lower >= 1.0:
         return "reject", lower_est
     est = rho_upper(ms, cls, lower_estimate=lower_est, **(upper_opts or {}))
-    certified = "stabilized" in est.flags and "long_dwell_heuristic" not in est.flags
-    if est.upper < 1.0 and certified:
+    if est.upper < 1.0 and est.certified:
         return "accept", est
     return "undecided", est
 

@@ -10,13 +10,56 @@ contracts v at rate mu_c per unit time, so does every product of letters.
 Off-grid durations are covered by a reported multiplicative grid inflation
 exp(a_max * delta), and dwells beyond the grid cap by per-mode eigenvalue
 envelopes; failures of either closure are flagged, never silently absorbed.
+
+Domination check.  The certificate grows from a worklist: each product
+P = S_j L of a stored generator and a letter is stored unless its Gram matrix
+Q = P^T P is dominated, that is eigvalsh(G - Q)[0] >= -tol(G), tol(G) =
+1e-10 (1 + tr G), for a stored Gram matrix G or for the mean of the stored
+ones (tests/oracles.py keeps the loop that evaluates this with eigvalsh on
+every pair, and the tests require the same generators bit for bit).  The
+certifier takes the same decisions with far less work, because:
+
+- The decision is an OR over the stored Gram matrices and their mean, so
+  they may be tried in any order, each product leaving at the first that
+  dominates it; and a stored Gram matrix is never removed, so products of
+  several worklist items can be tried together against the Gram matrices
+  stored before all of them.  Only the mean changes with every append; it
+  is computed per item, from the same stack in the same order as before.
+  The old first test, lambda_max(Q) <= 1 + 1e-10, is implied by the identity
+  (stored first, tol (1 + n) 1e-10) with a margin of 1e-10 against rounding
+  of order n u |Q|, so it is not repeated.
+- Norm-product bound: |P|_2 <= |S_j|_2 |L|_2.  When the computed product of
+  norms is below 1, lambda_max(Q) < 1 + O(n u) and the identity dominates
+  Q, so P and Q are never formed.
+- Pivot kernel and its rounding band: for D = G - Q, read from its lower
+  triangle as eigvalsh reads it, and e = 1e-12 (sum_ij |D_ij| + tol), a
+  Cholesky factorization of D + (tol - e) I that meets only positive
+  pivots proves the pair dominated, and one of D + (tol + e) I that meets a
+  nonpositive pivot proves it is not.  With unit roundoff u: a Cholesky
+  factorization that completes is exact for a matrix within gamma_{n+1}
+  |R^T||R| of the one factored, of 2-norm at most about gamma_{n+1}
+  (sum |D_ij| + n |tol +- e|); Cholesky completes on any symmetric matrix
+  whose least eigenvalue exceeds n gamma_{n+1} / (1 - n gamma_{n+1}) times
+  its largest diagonal entry (Demmel's condition; Higham, Accuracy and
+  Stability of Numerical Algorithms, ch. 10); and eigvalsh (LAPACK syevd)
+  returns eigenvalues within p(n) u |D|_2 of the exact ones.  For n <= 20
+  each of these is below a tenth of e, so outside the band the kernel and
+  eigvalsh decide alike.  Pairs inside the band, and pairs with sum |D_ij|
+  past 1e150, where the elimination could overflow, are decided by
+  eigvalsh on the same matrix.
+- A pair with D_ii < -tol - 1e-12 (tr G + tr Q) for some i is not dominated,
+  since lambda_min(D) <= D_ii and |D|_2 <= tr G + tr Q (1 + O(n u)) for
+  computed Gram matrices; such pairs are never formed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -130,6 +173,11 @@ class RhoEstimate:
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper + 1e-12):
             raise ValueError(f"invalid estimate bounds [{self.lower}, {self.upper}]")
+
+    @property
+    def certified(self):
+        """Whether the upper bound is certified: stabilized, without the long-dwell heuristic."""
+        return "stabilized" in self.flags and "long_dwell_heuristic" not in self.flags
 
     @property
     def lyapunov_exponent_lower(self):
@@ -353,9 +401,139 @@ def rho_lower(
 # ---------------------------------------------------------------------------
 # upper bound: polytope-norm certification
 
+# pair tests per batched step; bounds the memory of the domination check
+_CHUNK = 1 << 15
+# products of the queued worklist items that are checked together
+_BATCH = 2048
+# the stored Grams of largest trace, which every product of a batch meets
+_TOP = 21
 
-def _batch_min_eig(mats):
-    return np.linalg.eigvalsh(mats)[..., 0]
+
+class _Layout(NamedTuple):
+    """Lower triangle of n x n matrices, entries in row-major order."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    flat: np.ndarray       # index of each entry in the flattened matrix
+    diag: list             # positions of the diagonal entries
+    weight: np.ndarray     # 1 on the diagonal, 2 off it: weight @ |low| = sum_ij |M_ij|
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n):
+    r, c = np.tril_indices(n)
+    diag = [i * (i + 3) // 2 for i in range(n)]
+    return _Layout(r, c, r * n + c, diag, np.where(r == c, 1.0, 2.0))
+
+
+def _order(rows):
+    """n of the lower-triangle form with this many rows."""
+    return (math.isqrt(8 * rows + 1) - 1) // 2
+
+
+@dataclass(frozen=True, eq=False)
+class _Grams:
+    """Symmetric matrices in lower-triangle form, one column per matrix (row
+    i(i+1)/2 + j holds entry (i, j)), with their traces and, for stored
+    Gram matrices, their domination tolerances."""
+
+    low: np.ndarray
+    tr: np.ndarray
+    tol: np.ndarray | None = None
+
+    @staticmethod
+    def of(M, tol=None):
+        n = M.shape[-1]
+        return _Grams(M.reshape(len(M), n * n).T[_layout(n).flat], np.einsum("kii->k", M), tol)
+
+    @staticmethod
+    def join(*parts):
+        return _Grams(np.concatenate([p.low for p in parts], axis=1),
+                      np.concatenate([p.tr for p in parts]),
+                      np.concatenate([p.tol for p in parts]))
+
+    def __len__(self):
+        return len(self.tr)
+
+    def __getitem__(self, idx):
+        return _Grams(self.low[:, idx], self.tr[idx], self.tol[idx])
+
+
+def _cholesky_completes(D, shift):
+    """Whether floating-point Cholesky of each D + shift I (lower form) has only positive pivots."""
+    n = _order(len(D))
+    A = D.copy()
+    diag = _layout(n).diag
+    ok = np.ones(A.shape[1], dtype=bool)
+    for c in range(n):
+        A[diag[c]] += shift
+    for c in range(n):
+        pivot = A[diag[c]]
+        ok &= pivot > 0
+        root = np.sqrt(pivot)
+        col = {i: A[i * (i + 1) // 2 + c] / root for i in range(c + 1, n)}
+        for i in range(c + 1, n):
+            for j in range(c + 1, i + 1):
+                A[i * (i + 1) // 2 + j] -= col[i] * col[j]
+    return ok
+
+
+def _dominated(D, tol):
+    """not (eigvalsh(D)[..., 0] < -tol) for each D = G - Q (lower form), decided
+    by Cholesky outside a rounding band and by eigvalsh inside it (module docstring)."""
+    n = _order(len(D))
+    layout = _layout(n)
+    e = 1e-12 * (layout.weight @ np.abs(D) + tol)
+    out = np.zeros(D.shape[1], dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # past 1e150, or not finite, the elimination could overflow: eigvalsh decides
+        maybe = np.nonzero(_cholesky_completes(D, tol + e) | ~(e <= 1e138))[0]
+        if not maybe.size:
+            return out
+        sure = _cholesky_completes(D[:, maybe], tol[maybe] - e[maybe])
+    out[maybe[sure]] = True
+    band = maybe[~sure]
+    if band.size:
+        full = np.empty((band.size, n, n))
+        full[:, layout.rows, layout.cols] = full[:, layout.cols, layout.rows] = D[:, band].T
+        out[band] = ~(np.linalg.eigvalsh(full)[..., 0] < -tol[band])
+    return out
+
+
+def _undominated(Q, alive, G, first=0):
+    """The entries of alive whose matrix Q[alive] no matrix of G dominates.
+
+    G[:first] is tried before the rest, and a product leaves at the first
+    step that finds it dominated; a step tests at most _CHUNK pairs.  A pair
+    with G_ii - Q_ii < -tol - 1e-12 (tr G + tr Q) for some i is not
+    dominated (lambda_min <= D_ii; module docstring) and is never formed.
+    """
+    diag = _layout(_order(len(Q.low))).diag
+    k = 0
+    for end in (first, len(G)):
+        while alive.size and k < end:
+            b = slice(k, min(end, k + max(_CHUNK // alive.size, 1)))
+            low = np.min([G.low[d, None, b] - Q.low[d, alive, None] for d in diag], axis=0)
+            qi, gi = np.nonzero(low >= -G.tol[b] - 1e-12 * (G.tr[b] + Q.tr[alive, None]))
+            gi += k
+            hit = _dominated(G.low[:, gi] - Q.low[:, alive[qi]], G.tol[gi])
+            dominated = np.zeros(alive.size, dtype=bool)
+            dominated[qi[hit]] = True
+            alive = alive[~dominated]
+            k = b.stop
+    return alive
+
+
+def _nearest_dominates(Q, alive, G):
+    """For each entry of alive, whether its Frobenius-nearest matrix of G dominates Q[alive]."""
+    weighted = G.low * _layout(_order(len(G.low))).weight[:, None]
+    g2 = np.einsum("tk,tk->k", weighted, G.low)
+    near = np.empty(alive.size, dtype=np.intp)
+    step = max(_CHUNK // len(G), 1)
+    for s in range(0, alive.size, step):
+        cross = weighted.T @ Q.low[:, alive[s:s + step]]
+        near[s:s + step] = np.argmin(g2[:, None] - 2.0 * cross, axis=0)
+    return _dominated(G.low[:, near] - Q.low[:, alive], G.tol[near])
 
 
 class _Certifier:
@@ -372,9 +550,29 @@ class _Certifier:
         self.flags = set()
         self.caps = [cap] * len(modes_A)
         self.letters = None
-        self.stored = [np.eye(self.n)]
-        self.times = [0.0]
-        self.grams = [np.eye(self.n)]
+        self.stored = []
+        self.times = []
+        self.norms = []                           # |S_j|_2
+        self._grams = np.empty((64, self.n, self.n))
+        self._tols = np.empty(64)
+        self.store(np.eye(self.n), 0.0, np.eye(self.n), 1.0)
+
+    @property
+    def grams(self):
+        """Gram matrices S_j^T S_j of the stored generators, in storage order."""
+        return self._grams[:len(self.stored)]
+
+    def store(self, S, t, Q, norm):
+        """Append the generator S of time t, Gram matrix Q and spectral norm norm."""
+        N = len(self.stored)
+        if N == len(self._grams):
+            self._grams = np.concatenate([self._grams, np.empty_like(self._grams)])
+            self._tols = np.concatenate([self._tols, np.empty_like(self._tols)])
+        self._grams[N] = Q
+        self._tols[N] = _PSD_TOL * (1.0 + np.trace(Q))
+        self.stored.append(S)
+        self.times.append(t)
+        self.norms.append(float(norm))
 
     def _build_letters(self):
         mats = []
@@ -410,53 +608,85 @@ class _Certifier:
             seeds.append((power.copy(), t_pow))
         for S, t in seeds:
             if np.isfinite(S).all():
-                self.stored.append(S)
-                self.times.append(t)
-                self.grams.append(S.T @ S)
-
-    def _dominated_mask(self, Q):
-        """Which Gram matrices in Q are dominated by a stored one."""
-        alive = np.where(np.linalg.eigvalsh(Q)[:, -1] > 1.0 + _PSD_TOL)[0]
-        if alive.size == 0:
-            return np.ones(len(Q), dtype=bool)
-        G = np.stack(self.grams)
-        order = np.argsort(-np.einsum("kii->k", G))
-        for k in order:
-            if alive.size == 0:
-                break
-            tol = _PSD_TOL * (1.0 + np.trace(G[k]))
-            mn = _batch_min_eig(G[k][None] - Q[alive])
-            alive = alive[mn < -tol]
-        if alive.size:
-            Gm = G.mean(axis=0)
-            tol = _PSD_TOL * (1.0 + np.trace(Gm))
-            mn = _batch_min_eig(Gm[None] - Q[alive])
-            alive = alive[mn < -tol]
-        mask = np.ones(len(Q), dtype=bool)
-        mask[alive] = False
-        return mask
+                self.store(S, t, S.T @ S, np.linalg.norm(S, 2))
 
     def run(self):
+        """Grow the stored set until no letter extends it; False on budget exhaustion.
+
+        Stores exactly what this loop stores, in the same order: pop the next
+        worklist item S_j and append (and queue) every product S_j L whose
+        Gram matrix no stored Gram matrix, nor their mean, dominates.
+        """
         self._build_letters()
-        work = list(range(len(self.stored)))
+        letter_norms = np.linalg.norm(self.letters, 2, axis=(1, 2))
+        work = deque(range(len(self.stored)))
         while work:
-            j = work.pop(0)
-            P = np.einsum("ab,lbc->lac", self.stored[j], self.letters)
-            Q = np.einsum("lba,lbc->lac", P, P)
-            mask = self._dominated_mask(Q)
-            new_idx = np.where(~mask)[0]
-            for idx in new_idx:
+            items, P, Q = [], [], []
+            size = 0
+            while work and size < _BATCH:
+                j = work.popleft()
+                # |S_j L| <= |S_j| |L| < 1: the identity dominates the product
+                cand = np.nonzero(self.norms[j] * letter_norms >= 1.0)[0]
+                prod = np.einsum("ab,lbc->lac", self.stored[j], self.letters[cand])
+                items.append((j, cand))
+                P.append(prod)
+                Q.append(np.einsum("lba,lbc->lac", prod, prod))
+                size += cand.size
+            if size and not self._extend(items, np.concatenate(P), np.concatenate(Q), work):
+                self.flags.add("budget_exhausted")
+                return False
+        return True
+
+    def _extend(self, items, P, Q, work):
+        """Store and queue, in order, the undominated products of the
+        worklist items (j, letter indices); False when over budget.
+
+        The items are checked together against the Grams stored before any
+        of them: first the largest-trace one and each product's
+        Frobenius-nearest one, then their mean (every item's mean until an
+        item appends), then, for what the mean leaves, the next _TOP - 1 by
+        trace.  What survives is checked item by item against the item's own
+        mean and every other stored Gram.
+        """
+        Qg = _Grams.of(Q)
+        N0 = len(self.stored)
+        prefix = _Grams.of(self.grams, self._tols[:N0])
+        prefix = prefix[np.argsort(-prefix.tr)]
+        alive = _undominated(Qg, np.arange(len(Q)), prefix[:1])
+        alive = alive[~_nearest_dominates(Qg, alive, prefix)]
+        first_mean = np.zeros(len(Q), dtype=bool)
+        first_mean[alive] = True
+        first_mean[_undominated(Qg, alive, self._mean())] = False
+        keep = first_mean.copy()
+        keep[_undominated(Qg, alive[~first_mean[alive]], prefix[1:_TOP])] = True
+        alive = np.nonzero(keep)[0]
+        starts = np.cumsum([0] + [cand.size for _, cand in items])
+        survivors = np.split(alive, np.searchsorted(alive, starts[1:-1]))
+        for (j, cand), start, mine in zip(items, starts, survivors):
+            if not mine.size:
+                continue
+            N = len(self.stored)
+            if N == N0:
+                # the item's mean is the first mean; its other survivors met prefix[:_TOP]
+                new = _undominated(Qg, mine[~first_mean[mine]], prefix[_TOP:])
+            else:
+                added = _Grams.of(self._grams[N0:N], self._tols[N0:N])
+                new = _undominated(Qg, mine, _Grams.join(self._mean(), added, prefix), first=1)
+            for idx, norm in zip(new, np.linalg.norm(P[new], 2, axis=(1, 2))):
                 if len(self.stored) >= self.budget:
-                    self.flags.add("budget_exhausted")
                     return False
-                self.stored.append(P[idx])
-                self.times.append(self.times[j] + float(self.letter_times[idx]))
-                self.grams.append(Q[idx])
+                t = self.times[j] + float(self.letter_times[cand[idx - start]])
+                self.store(P[idx], t, Q[idx], norm)
                 work.append(len(self.stored) - 1)
         return True
 
+    def _mean(self):
+        """The mean of the stored Gram matrices, with its tolerance."""
+        mean = self.grams.mean(axis=0)
+        return _Grams.of(mean[None], np.array([_PSD_TOL * (1.0 + np.trace(mean))]))
+
     def v_max(self):
-        return max(float(np.linalg.norm(S, 2)) for S in self.stored)
+        return max(self.norms)
 
 
 def _mode_kappa(A):

@@ -3,9 +3,10 @@
 Each oracle recomputes a quantity along a path disjoint from the library
 implementation: adaptive Runge-Kutta for flows and for the Riccati escape-time
 test, composite Simpson quadrature for Gramians, explicit word enumeration for
-reachable spans, a frequency sweep for unswitched H-infinity norms, and the
+reachable spans, a frequency sweep for unswitched H-infinity norms, the
 closed-form Riccati escape time for the finite-horizon gain of a stable scalar
-mode.
+mode, and the polytope certifier's original domination loop, which decides
+every product against every stored Gram matrix with eigvalsh.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from switchgain import spectral
 from switchgain.l2gain import ESCAPE_NORM
 
 
@@ -209,3 +211,62 @@ def commuting_pair_rate(d1, d2, n_grid=2001):
         rate = np.max(lam * np.asarray(d1) + (1.0 - lam) * np.asarray(d2))
         best = max(best, rate)
     return best
+
+
+class ReferenceCertifier(spectral._Certifier):
+    """The certifier with its original worklist loop and domination check.
+
+    Each worklist item forms the product with every letter and keeps it
+    unless lambda_max(Q) <= 1 + 1e-10, or lambda_min(G_k - Q) >= -tol_k for a
+    stored Gram G_k (tried in descending trace), or the same against the
+    mean Gram, each decided by eigvalsh.  Letters, seeds and the long-dwell
+    closure are the library's.
+    """
+
+    def _dominated_mask(self, Q):
+        alive = np.where(np.linalg.eigvalsh(Q)[:, -1] > 1.0 + spectral._PSD_TOL)[0]
+        if alive.size == 0:
+            return np.ones(len(Q), dtype=bool)
+        G = np.stack(self.grams)
+        order = np.argsort(-np.einsum("kii->k", G))
+        for k in order:
+            if alive.size == 0:
+                break
+            tol = spectral._PSD_TOL * (1.0 + np.trace(G[k]))
+            mn = np.linalg.eigvalsh(G[k][None] - Q[alive])[..., 0]
+            alive = alive[mn < -tol]
+        if alive.size:
+            Gm = G.mean(axis=0)
+            tol = spectral._PSD_TOL * (1.0 + np.trace(Gm))
+            mn = np.linalg.eigvalsh(Gm[None] - Q[alive])[..., 0]
+            alive = alive[mn < -tol]
+        mask = np.ones(len(Q), dtype=bool)
+        mask[alive] = False
+        return mask
+
+    def run(self):
+        self._build_letters()
+        work = list(range(len(self.stored)))
+        while work:
+            j = work.pop(0)
+            P = np.einsum("ab,lbc->lac", self.stored[j], self.letters)
+            Q = np.einsum("lba,lbc->lac", P, P)
+            mask = self._dominated_mask(Q)
+            for idx in np.where(~mask)[0]:
+                if len(self.stored) >= self.budget:
+                    self.flags.add("budget_exhausted")
+                    return False
+                self.store(P[idx], self.times[j] + float(self.letter_times[idx]), Q[idx],
+                           np.linalg.norm(P[idx], 2))
+                work.append(len(self.stored) - 1)
+        return True
+
+
+def reference_certifier(sys, cls, mu_hat, **opts):
+    """spectral.extremal_norm(sys, cls, mu_hat, **opts) run on ReferenceCertifier."""
+    library = spectral._Certifier
+    spectral._Certifier = ReferenceCertifier
+    try:
+        return spectral.extremal_norm(sys, cls, mu_hat, **opts)
+    finally:
+        spectral._Certifier = library

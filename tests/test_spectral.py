@@ -19,14 +19,18 @@ from switchgain import (
     word_flow,
     word_to_signal,
 )
+from switchgain import spectral
 from switchgain.gallery import (
     alpha_star,
     common_lyapunov_modes,
     example_planar_pair,
+    example_system,
+    planted_reducible_system,
     rotated_nodes_pair,
 )
+from switchgain.realization import minimal_realization
 
-from oracles import commuting_pair_rate
+from oracles import commuting_pair_rate, reference_certifier
 
 
 def autonomous(mats):
@@ -216,6 +220,80 @@ class TestPolytopeNormApi:
         for _ in range(50):
             x = rng.standard_normal(2)
             assert norm.evaluate(x) >= np.linalg.norm(x) * (1 - 1e-12)
+
+
+def _planted_minimal(seed):
+    planted, _ = planted_reducible_system(2, 1, 1, 2, 1, 1, seed=seed)
+    return minimal_realization(planted).sys_min
+
+
+class TestCertifierParity:
+    """The screened, batched domination check stores what the eigvalsh loop stores."""
+
+    @pytest.mark.parametrize("make, cls, budget_exhausted", [
+        (lambda: rotated_nodes_pair(), SignalClassSpec.dwell(0.5), False),
+        (lambda: _planted_minimal(9), SignalClassSpec.dwell(0.5), True),
+        (lambda: _planted_minimal(13), SignalClassSpec.dwell(0.5), False),
+        (lambda: example_system(alpha_star() + 0.05), SignalClassSpec.dwell(0.5), False),
+        (lambda: autonomous([np.array([[-1.0]])]), SignalClassSpec.dwell(0.1), False),
+    ], ids=["nodes", "planted9", "planted13", "example", "scalar"])
+    def test_generators_bitwise_equal(self, make, cls, budget_exhausted):
+        sysm = make()
+        est = rho_lower(sysm, cls)
+        # the first certification attempt of rho_upper
+        mu_c = est.lower * 1.005
+        norm = extremal_norm(sysm, cls, mu_c, witness=est.witness)
+        ref = reference_certifier(sysm, cls, mu_c, witness=est.witness)
+        assert norm.scaled.shape == ref.scaled.shape
+        assert norm.scaled.tobytes() == ref.scaled.tobytes()
+        assert norm.times.tobytes() == ref.times.tobytes()
+        assert (norm.stabilized, norm.flags) == (ref.stabilized, ref.flags)
+        assert ("budget_exhausted" in norm.flags) == budget_exhausted
+
+
+class TestDominationKernel:
+    """spectral._dominated decides not (eigvalsh(G - Q)[0] < -tol) exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_eigvalsh_at_the_threshold(self, n, monkeypatch):
+        rng = np.random.default_rng(40 + n)
+        G, Q, tols = [], [], []
+        for scale in 10.0 ** np.arange(-6, 7, 1.5):
+            for _ in range(6):
+                X = rng.standard_normal((n, n)) * math.sqrt(scale)
+                g = X.T @ X + scale * np.eye(n)
+                tol = 1e-10 * (1.0 + np.trace(g))
+                band = 1e-12 * (2.0 * np.abs(g).sum() + tol)   # about the kernel's half-width
+                targets = [-tol * (1 + 1e-13), -tol * (1 - 1e-13), -tol + 1e-16, -tol - 1e-16]
+                targets += [-tol + s * k * band for s in (-1, 1) for k in (0.5, 1.0, 2.0, 10.0, 1e3)]
+                for lam in targets:
+                    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                    w = np.concatenate([[lam], rng.uniform(0.1, 2.0, n - 1) * scale])
+                    D = (V * w) @ V.T
+                    G.append(g)
+                    Q.append(g - 0.5 * (D + D.T))
+                    tols.append(tol)
+        G, Q, tols = np.array(G), np.array(Q), np.array(tols)
+        want = ~(np.linalg.eigvalsh(G - Q)[:, 0] < -tols)
+        sent = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: sent.append(len(M)) or eigvalsh(M))
+        got = spectral._dominated(spectral._Grams.of(G).low - spectral._Grams.of(Q).low, tols)
+        assert want.any() and not want.all()
+        # both the Cholesky decisions and the band are exercised
+        assert 0 < sum(sent) < len(want) // 2
+        np.testing.assert_array_equal(got, want)
+
+    def test_non_finite_pairs_follow_eigvalsh(self):
+        G = np.array([np.eye(2), np.eye(2), np.eye(2)])
+        Q = np.array([[[np.inf, 0.0], [0.0, 1.0]],
+                      [[1e200, 0.0], [0.0, 0.0]],
+                      [[0.5, 0.0], [0.0, 0.5]]])
+        tols = np.full(3, 1e-10)
+        got = spectral._dominated(spectral._Grams.of(G).low - spectral._Grams.of(Q).low, tols)
+        with np.errstate(invalid="ignore"):
+            want = ~(np.linalg.eigvalsh(G - Q)[:, 0] < -tols)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestQuasiExtremal:
