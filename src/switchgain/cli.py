@@ -23,8 +23,6 @@ __all__ = ["main", "build_parser"]
 def build_parser():
     p = argparse.ArgumentParser(prog="switchgain",
                                 description="switched linear system analysis")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (execution is sequential and deterministic)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, system=True):

@@ -54,6 +54,8 @@ import numpy as np
 # not used here; perfbench's test_uninstall_restores_the_library reads l2gain.solve_ivp
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .core import Signal, SignalClassSpec, SystemSpec, validate_membership
 from .flows import _clip_spans, _gram_block, _zoh_step
@@ -345,9 +347,12 @@ def gain_for_signal(
             m -= 1
     hi = 2.0 ** m
     lo = 0.0
+    # the bracket search found 2^(m-1), the first midpoint, infeasible,
+    # unless the downward search stopped at the floor without probing it
+    known_infeasible = 2.0 ** (m - 1) if m > -40 else None
     while hi - lo > tol * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        if _riccati_feasible(kern, rev, mid):
+        if mid != known_infeasible and _riccati_feasible(kern, rev, mid):
             hi = mid
         else:
             lo = mid
@@ -385,6 +390,22 @@ def _step_operators(sys, sig, T, dt):
     return phis, gams, cs, steps
 
 
+def _step_matrix(phis, n):
+    """The lower block-bidiagonal map x -> x_{k+1} - Phi_k x_k, k = 0..steps-1.
+
+    Unknowns are x_1..x_steps (x_0 = 0), so block row k has I on the
+    diagonal and -Phi_k below it (k >= 1); Phi_0 never enters.
+    """
+    steps = len(phis)
+    size = steps * n
+    sub = np.asarray(phis).reshape(steps, n, n)[1:]
+    k, r, c = np.indices(sub.shape)
+    rows = np.concatenate([np.arange(size), ((k + 1) * n + r).ravel()])
+    cols = np.concatenate([np.arange(size), (k * n + c).ravel()])
+    vals = np.concatenate([np.ones(size), -sub.ravel()])
+    return csc_matrix((vals, (rows, cols)), shape=(size, size))
+
+
 def gain_power_lower(
     sys: SystemSpec,
     sig: Signal,
@@ -400,31 +421,32 @@ def gain_power_lower(
     Inputs are zero-order-hold samples; output energy uses the trapezoid rule
     on the grid.  Any iterate's Rayleigh ratio |Lu|/|u| is a valid lower
     bound of the discretized gain, so the best ratio seen is returned.
+
+    The states x_1..x_steps solve one lower block-bidiagonal system (identity
+    blocks on the diagonal, -Phi_k below), factored once with the diagonal as
+    pivots; each iteration is one forward and one transposed triangular solve
+    plus the block-diagonal products with Gamma_k and C_k.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
     sig.check_modes(sys)
     phis, gams, cs, steps = _step_operators(sys, sig, T, grid_step)
     n, m, p = sys.n, sys.m, sys.p
-    w = np.full(steps + 1, grid_step)
-    w[0] = w[-1] = grid_step / 2.0
+    # trapezoid weights of y_1..y_steps; y_0 = C_0 x_0 = 0 carries no energy
+    w = np.full((steps, 1), grid_step)
+    w[-1:] = grid_step / 2.0
+    gam = np.asarray(gams).reshape(steps, n, m)
+    out_map = np.asarray(cs[1:]).reshape(steps, p, n)
+    lu = splu(_step_matrix(phis, n), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     def forward(u):
-        x = np.zeros(n)
-        y = np.empty((steps + 1, p))
-        y[0] = cs[0] @ x
-        for k in range(steps):
-            x = phis[k] @ x + gams[k] @ u[k]
-            y[k + 1] = cs[k + 1] @ x
-        return y
+        x = lu.solve(np.matmul(gam, u[:, :, None]).reshape(-1))
+        return np.matmul(out_map, x.reshape(steps, n, 1))[:, :, 0]
 
     def adjoint(y):
-        lam = w[steps] * (cs[steps].T @ y[steps])
-        out = np.empty((steps, m))
-        for k in range(steps - 1, -1, -1):
-            out[k] = gams[k].T @ lam / grid_step
-            lam = phis[k].T @ lam + w[k] * (cs[k].T @ y[k])
-        return out
+        z = np.matmul(out_map.transpose(0, 2, 1), (w * y)[:, :, None])
+        lam = lu.solve(z.reshape(-1), trans="T")
+        return np.matmul(gam.transpose(0, 2, 1), lam.reshape(steps, n, 1))[:, :, 0] / grid_step
 
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((steps, m))
@@ -439,7 +461,7 @@ def gain_power_lower(
     best_u = u.copy()
     for _ in range(iters):
         y = forward(u)
-        num = math.sqrt(float(np.sum(w[:, None] * y * y)))
+        num = math.sqrt(float(np.sum(w * y * y)))
         den = math.sqrt(grid_step * float(np.sum(u * u)))
         ratio = num / den if den > 0 else 0.0
         if ratio > best:
@@ -628,15 +650,13 @@ def finiteness_test(
     return FinitenessVerdict(verdict, est, obs, rationale, minreal.dim)
 
 
-def _classify_tau(ms, tau, search_opts, upper_opts):
-    cls = SignalClassSpec.dwell(tau) if tau > 0 else SignalClassSpec.arbitrary()
-    lower_est = rho_lower(ms, cls, **(search_opts or {}))
+def _classify_tau(ms, cls, lower_est, upper_opts):
     if lower_est.lower >= 1.0:
-        return "reject", lower_est
+        return "reject"
     est = rho_upper(ms, cls, lower_estimate=lower_est, **(upper_opts or {}))
     if est.upper < 1.0 and est.certified:
-        return "accept", est
-    return "undecided", est
+        return "accept"
+    return "undecided"
 
 
 def tau_min(
@@ -665,7 +685,11 @@ def tau_min(
     ms = minreal.sys_min
 
     def classify(tau):
-        verdict, est = _classify_tau(ms, tau, search_opts, upper_opts)
+        cls = SignalClassSpec.dwell(tau) if tau > 0 else SignalClassSpec.arbitrary()
+        # the boosted retry changes only the upper bound's options, so it
+        # reuses the lower estimate
+        lower_est = rho_lower(ms, cls, **(search_opts or {}))
+        verdict = _classify_tau(ms, cls, lower_est, upper_opts)
         if verdict == "undecided":
             if boost_opts is not None:
                 merged = dict(upper_opts or {})
@@ -677,7 +701,7 @@ def tau_min(
                 base_delta = merged.get("delta") or (tau / 20.0 if tau > 0 else 0.05)
                 merged["delta"] = base_delta / 2.0
                 merged["budget"] = 2 * merged.get("budget", 600)
-            verdict, est = _classify_tau(ms, tau, search_opts, merged)
+            verdict = _classify_tau(ms, cls, lower_est, merged)
         return verdict
 
     lo_verdict = classify(tau_lo)

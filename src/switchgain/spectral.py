@@ -372,10 +372,15 @@ def rho_lower(
         lo = max(tau, 1e-3)
         for _ in range(2):
             for pos in range(len(letters)):
-                def f(x, pos=pos):
+                # only letter pos varies: the other exponentials are built once
+                fixed = [None if j == pos else expm(sys.A(i) * d)
+                         for j, (i, d) in enumerate(letters)]
+
+                def f(x, pos=pos, fixed=fixed):
                     trial = list(letters)
                     trial[pos] = (trial[pos][0], x)
-                    mats = [expm(sys.A(i) * d) for i, d in trial]
+                    mats = list(fixed)
+                    mats[pos] = expm(sys.A(trial[pos][0]) * x)
                     return _word_value(mats, [d for _, d in trial])
 
                 hi = max(4.0 * letters[pos][1], lo + 1.0)

@@ -5,7 +5,8 @@ implementation: adaptive Runge-Kutta for flows and for the Riccati escape-time
 test, composite Simpson quadrature for Gramians, explicit word enumeration for
 reachable spans, a frequency sweep for unswitched H-infinity norms, the
 closed-form Riccati escape time for the finite-horizon gain of a stable scalar
-mode, and the polytope certifier's original domination loop, which decides
+mode, the power iteration's original per-step forward and adjoint loops, and
+the polytope certifier's original domination loop, which decides
 every product against every stored Gram matrix with eigvalsh.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from switchgain import spectral
+from switchgain import l2gain, spectral
 from switchgain.l2gain import ESCAPE_NORM
 
 
@@ -98,6 +99,70 @@ def rk_gain(sys, rev_segs, tol):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def reference_power_lower(sys, sig, T, grid_step, *, iters=80, rtol=1e-10, seed=0):
+    """l2gain.gain_power_lower with its original per-step loops.
+
+    The same operator, weights, start vector and stopping rule, with the
+    forward map and its adjoint run as explicit recursions over the steps
+    instead of sparse triangular solves.
+    """
+    if grid_step <= 0:
+        raise ValueError("grid step must be positive")
+    sig.check_modes(sys)
+    phis, gams, cs, steps = l2gain._step_operators(sys, sig, T, grid_step)
+    n, m, p = sys.n, sys.m, sys.p
+    w = np.full(steps + 1, grid_step)
+    w[0] = w[-1] = grid_step / 2.0
+
+    def forward(u):
+        x = np.zeros(n)
+        y = np.empty((steps + 1, p))
+        y[0] = cs[0] @ x
+        for k in range(steps):
+            x = phis[k] @ x + gams[k] @ u[k]
+            y[k + 1] = cs[k + 1] @ x
+        return y
+
+    def adjoint(y):
+        lam = w[steps] * (cs[steps].T @ y[steps])
+        out = np.empty((steps, m))
+        for k in range(steps - 1, -1, -1):
+            out[k] = gams[k].T @ lam / grid_step
+            lam = phis[k].T @ lam + w[k] * (cs[k].T @ y[k])
+        return out
+
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((steps, m))
+    nu = math.sqrt(grid_step * float(np.sum(u * u)))
+    if nu == 0:
+        u[:] = 1.0
+        nu = math.sqrt(grid_step * u.size)
+    u /= nu
+
+    best = 0.0
+    prev = None
+    best_u = u.copy()
+    for _ in range(iters):
+        y = forward(u)
+        num = math.sqrt(float(np.sum(w[:, None] * y * y)))
+        den = math.sqrt(grid_step * float(np.sum(u * u)))
+        ratio = num / den if den > 0 else 0.0
+        if ratio > best:
+            best = ratio
+            best_u = u.copy()
+        if prev is not None and abs(ratio - prev) <= rtol * max(ratio, 1e-30):
+            break
+        prev = ratio
+        nxt = adjoint(y)
+        norm = math.sqrt(grid_step * float(np.sum(nxt * nxt)))
+        if norm == 0:
+            break
+        u = nxt / norm
+    return l2gain.GainEstimate(best, T, "power_iteration", rtol, witness_signal=sig,
+                        witness_input_energy_ratio=best, witness_input=best_u,
+                        input_dt=grid_step)
 
 
 def simpson_gramians(sys, sig, t0, t1, n_panels=2000):

@@ -28,7 +28,13 @@ from switchgain.gallery import (
 from switchgain.l2gain import _escape_time, _reversed_segments, _riccati_feasible, _RiccatiKernel
 from switchgain.spectral import rho_curve
 
-from oracles import hinf_norm, rk_gain, rk_riccati_feasible, scalar_finite_horizon_gain
+from oracles import (
+    hinf_norm,
+    reference_power_lower,
+    rk_gain,
+    rk_riccati_feasible,
+    scalar_finite_horizon_gain,
+)
 
 ARB = SignalClassSpec.arbitrary()
 
@@ -257,6 +263,120 @@ class TestPowerLower:
         assert est.witness_input_energy_ratio == pytest.approx(est.value)
 
 
+def random_switched(seed, n, m, p, n_modes=2):
+    """Modes with random (not necessarily stable) A, B, C of the given sizes."""
+    rng = np.random.default_rng(seed)
+    modes = tuple(Mode(rng.standard_normal((n, n)) - 0.5 * np.eye(n),
+                       rng.standard_normal((n, m)), rng.standard_normal((p, n)))
+                  for _ in range(n_modes))
+    return SystemSpec(n, m, p, modes)
+
+
+# switch times 0.37 and 1.13 fall inside steps of every grid used below
+STRADDLE_SIG = Signal(((0, 0.37), (1, 0.76), (0, 0.87)))
+
+# name -> () -> (system, signal, horizon, grid step)
+POWER_CASES = {
+    "n0": lambda: (SystemSpec(0, 1, 1, (Mode(np.zeros((0, 0)), np.zeros((0, 1)),
+                                             np.zeros((1, 0))),)),
+                   Signal(((0, 1.0),)), 1.0, 0.01),
+    "n1_scalar": lambda: (single_mode([[-1.0]], [[1.0]], [[1.0]]), Signal(((0, 5.0),)), 5.0, 0.01),
+    "n1_m2_p2": lambda: (random_switched(1, 1, 2, 2), STRADDLE_SIG, 2.0, 0.025),
+    "n2_m1_p1": lambda: (random_switched(2, 2, 1, 1), STRADDLE_SIG, 2.0, 0.02),
+    "n2_m2_p1": lambda: (random_switched(3, 2, 2, 1), STRADDLE_SIG, 2.0, 0.05),
+    "n3_m1_p2": lambda: (random_switched(4, 3, 1, 2, n_modes=3),
+                         Signal(((0, 0.41), (2, 0.5), (1, 0.33), (0, 0.76))), 2.0, 0.04),
+    "n3_m2_p2": lambda: (random_switched(5, 3, 2, 2), STRADDLE_SIG, 2.0, 0.008),
+    "T_below_horizon": lambda: (random_switched(6, 2, 1, 2), STRADDLE_SIG, 1.5, 0.03),
+    "nodes_pair": lambda: (rotated_nodes_pair(), NODES_SIG, 3.0, 3.0 / 400),
+    "b_zero": lambda: (single_mode(np.diag([-1.0, -2.0]), np.zeros((2, 1)), [[1.0, 1.0]]),
+                       Signal(((0, 2.0),)), 2.0, 0.01),
+}
+
+
+class TestPowerParity:
+    """The factored power iteration against its original per-step loops."""
+
+    @pytest.mark.parametrize("name", sorted(POWER_CASES))
+    def test_matches_reference_loops(self, name):
+        sysm, sig, T, dt = POWER_CASES[name]()
+        new = gain_power_lower(sysm, sig, T, dt)
+        ref = reference_power_lower(sysm, sig, T, dt)
+        assert new.value == pytest.approx(ref.value, rel=1e-12, abs=1e-15)
+        assert new.witness_input_energy_ratio == new.value
+        assert (new.horizon, new.method, new.tolerance, new.input_dt) == \
+            (ref.horizon, ref.method, ref.tolerance, ref.input_dt)
+        assert new.witness_input.shape == ref.witness_input.shape
+        scale = np.linalg.norm(ref.witness_input)
+        assert np.linalg.norm(new.witness_input - ref.witness_input) <= 1e-9 * scale
+        if name in ("n0", "b_zero"):
+            assert new.value == 0.0
+
+    def test_gain_for_signal_witness(self):
+        sysm = random_switched(7, 2, 1, 1)
+        est = gain_for_signal(sysm, STRADDLE_SIG, 2.0, compute_witness=True)
+        ref = reference_power_lower(sysm, STRADDLE_SIG, 2.0, 2.0 / 400)
+        assert est.input_dt == 2.0 / 400
+        assert est.witness_input_energy_ratio == pytest.approx(ref.value, rel=1e-12)
+        # the discrete ratio may exceed the continuous gain by the trapezoid rule's error
+        assert 0 < est.witness_input_energy_ratio <= est.value * (1 + 1e-2)
+
+
+def recording(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestBisectionProbes:
+    """The bisection does not re-probe the bracket search's last infeasible gamma.
+
+    Values are pinned to the outputs of the version that did, as hex floats.
+    """
+
+    ZERO_TRANSFER_SIG = Signal(((0, 2.0),))
+    # name -> (system, signal, T, tol, feasibility tests, pinned value)
+    CASES = {
+        # gain above 1: the upward search ends at 2^2 after probing 2^1
+        "nodes": (lambda: rotated_nodes_pair(), NODES_SIG, 3.0, 1e-4, 16, "0x1.adec000000000p+1"),
+        "scalar_above_one": (lambda: single_mode([[-0.5]], [[1.0]], [[3.0]]),
+                             Signal(((0, 4.0),)), 4.0, 1e-4, 16, "0x1.f954000000000p+1"),
+        # gain below 1: the downward search ends at 2^0 after probing 2^-1
+        "scalar_below_one": (lambda: single_mode([[-1.0]], [[1.0]], [[1.0]]),
+                             Signal(((0, 5.0),)), 5.0, 1e-4, 15, "0x1.c444000000000p-1"),
+        # the downward search stops at the 2^-40 floor and 2^-41 is never
+        # probed: with tol 1e-4 the loop does not run, with 1e-13 it probes 2^-41
+        "zero_transfer": (zero_transfer, ZERO_TRANSFER_SIG, 2.0, 1e-4, 41, "0x1.0000000000000p-41"),
+        "zero_transfer_fine": (zero_transfer, ZERO_TRANSFER_SIG, 2.0, 1e-13, 45,
+                               "0x1.0000000000000p-45"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_gain_for_signal(self, monkeypatch, name):
+        make, sig, T, tol, n_tests, value = self.CASES[name]
+        calls = recording(monkeypatch, l2gain, "_riccati_feasible")
+        est = gain_for_signal(make(), sig, T, tol)
+        gammas = [args[2] for args in calls]
+        assert len(gammas) == len(set(gammas)) == n_tests
+        assert est.value == float.fromhex(value)
+
+    def test_gain_search(self, monkeypatch):
+        calls = recording(monkeypatch, l2gain, "_riccati_feasible")
+        est = gain_search(rotated_nodes_pair(), SignalClassSpec.dwell(0.5), 3.0,
+                          max_switches=2, eval_budget=30)
+        # three gain_for_signal calls, one probe fewer each than before
+        assert len(calls) == 69
+        assert est.value == float.fromhex("0x1.b84c000000000p+1")
+        assert est.witness_signal.segments == ((1, 1.5), (0, 1.5))
+
+
 class TestGainSearch:
     def test_single_mode_equals_constant_signal(self):
         sysm = single_mode([[-1.0]], [[1.0]], [[1.0]])
@@ -408,6 +528,28 @@ class TestTauMin:
         sysm = single_mode([[0.2]], [[1.0]], [[1.0]])
         with pytest.raises(ValueError, match="bracket"):
             tau_min(sysm, (0.5, 3.0), 0.1)
+
+    @pytest.mark.parametrize("upper_opts, rho_lower_calls, rho_upper_calls, bracket", [
+        # tau 2.0 and 1.15 classify as accept; 0.6, 1.3 and 1.075 as reject;
+        # 1.15 is undecided at first and accepted by the boosted retry
+        ({"delta": 0.002}, 6, 4, ("0x1.099999999999ap+0", "0x1.2000000000000p+0")),
+        # tau 2.0 stays undecided after the boosted retry
+        (None, 2, 2, None),
+    ])
+    def test_boosted_retry_reuses_lower_estimate(self, monkeypatch, upper_opts,
+                                                 rho_lower_calls, rho_upper_calls, bracket):
+        """One rho_lower per classified tau; verdicts pinned to the version
+        that ran rho_lower again for the retry (7 and 3 calls)."""
+        lower = recording(monkeypatch, l2gain, "rho_lower")
+        upper = recording(monkeypatch, l2gain, "rho_upper")
+        if bracket is None:
+            with pytest.raises(ValueError, match="upper end undecidable"):
+                tau_min(rotated_nodes_pair(), (0.6, 2.0), 0.1, upper_opts=upper_opts)
+        else:
+            res = tau_min(rotated_nodes_pair(), (0.6, 2.0), 0.1, upper_opts=upper_opts)
+            assert (res.tau_reject, res.tau_accept) == tuple(map(float.fromhex, bracket))
+            assert not res.flags
+        assert (len(lower), len(upper)) == (rho_lower_calls, rho_upper_calls)
 
     def test_nodes_pair_bracket(self):
         sysm = rotated_nodes_pair()

@@ -116,6 +116,45 @@ class TestRhoLower:
         assert sr <= np.linalg.norm(phi, 2) * (1 + 1e-12)
 
 
+class TestGoldenRefinementExpm:
+    """rho_lower's golden refinement builds one exponential per evaluation.
+
+    Each of the 2 rounds refines every position of the best word (k letters)
+    with 63 evaluations (2 + 60 iterations + the midpoint); the k - 1 fixed
+    letters' exponentials are built once per position, and word_flow builds
+    k more at the end.  Bounds and witnesses are pinned to the outputs of the
+    version that rebuilt all k exponentials per evaluation.
+    """
+
+    CASES = {
+        "nodes_tau0.5": (lambda: rotated_nodes_pair(), SignalClassSpec.dwell(0.5),
+                         "0x1.5d4df8046c83fp+1",
+                         ((0, "0x1.0000000000000p-1"), (1, "0x1.0000000000000p-1"))),
+        "nodes_arb": (lambda: rotated_nodes_pair(), ARB, "0x1.769557bd8525ep+2",
+                      ((0, "0x1.fb5500dd3f418p-3"), (1, "0x1.facccd0769a99p-3"))),
+        "example_4": (lambda: example_system(4.0), ARB, "0x1.85e434d32cb73p-1",
+                      ((0, "0x1.07c80bfb5671cp-4"), (1, "0x1.da896510a3b06p-1"),
+                       (0, "0x1.80da4fdbb9160p-2"), (2, "0x1.999999999999ap-5"))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_expm_calls_and_pinned_bounds(self, monkeypatch, name):
+        make, cls, lower, letters = self.CASES[name]
+        calls = []
+        library_expm = spectral.expm
+
+        def counted(M):
+            calls.append(M)
+            return library_expm(M)
+
+        monkeypatch.setattr(spectral, "expm", counted)
+        est = rho_lower(make(), cls)
+        k = len(letters)
+        assert len(calls) == 2 * k * (63 + k - 1) + k
+        assert est.lower == float.fromhex(lower)
+        assert est.witness.letters == tuple((i, float.fromhex(d)) for i, d in letters)
+
+
 class TestRhoUpper:
     def test_single_hurwitz_mode(self):
         sysm = autonomous([np.array([[-1.0]])])
