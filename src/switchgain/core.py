@@ -13,6 +13,9 @@ concatenate into a valid signal.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -222,14 +225,15 @@ class Signal:
             times.append(t)
         return times
 
+    @functools.cached_property
+    def segment_ends(self):
+        """End time of each segment, summed in segment order."""
+        return tuple(itertools.accumulate(d for _, d in self.segments))
+
     def mode_at(self, t):
         """Mode active at time t (right-continuous; final segment covers the endpoint)."""
-        acc = 0.0
-        for i, d in self.segments:
-            acc += d
-            if t < acc:
-                return i
-        return self.segments[-1][0]
+        k = bisect.bisect_right(self.segment_ends, t)
+        return self.segments[min(k, len(self.segments) - 1)][0]
 
     def check_modes(self, sys: SystemSpec):
         for k, (i, _) in enumerate(self.segments):

@@ -8,15 +8,22 @@ closed-form Riccati escape time for the finite-horizon gain of a stable scalar
 mode, the power iteration's original per-step forward and adjoint loops, and
 the polytope certifier's original domination loop, which decides
 every product against every stored Gram matrix with eigvalsh.
+
+The flows references keep the per-step span clipping flows used before its
+forward segment cursor (reference_simulate, reference_transition,
+reference_gramians, reference_step_operators, reference_mode_at: every span
+is rebuilt for each step), to check that the cursor returns the same bits.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from switchgain import l2gain, spectral
+from switchgain.flows import GramianPair, Trajectory, _gram_block
 from switchgain.l2gain import ESCAPE_NORM
 
 
@@ -99,6 +106,138 @@ def rk_gain(sys, rev_segs, tol):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _segment_spans(sig):
+    """(start, end, mode) triples for the signal's segments."""
+    spans, t = [], 0.0
+    for i, d in sig.segments:
+        spans.append((t, t + d, i))
+        t += d
+    return spans, t
+
+
+def clip_spans(sig, s, t):
+    """Sub-intervals of [s, t] with their active modes, in time order."""
+    spans, horizon = _segment_spans(sig)
+    tol = 1e-9 * max(1.0, horizon)
+    if s < -tol or t > horizon + tol or s > t + tol:
+        raise ValueError(f"interval [{s}, {t}] outside signal horizon [0, {horizon}]")
+    out = []
+    for a, b, i in spans:
+        lo, hi = max(a, s), min(b, t)
+        if hi - lo > 1e-14:
+            out.append((lo, hi, i))
+    return out
+
+
+def reference_mode_at(sig, t):
+    """Signal.mode_at as a linear scan over the segments."""
+    acc = 0.0
+    for i, d in sig.segments:
+        acc += d
+        if t < acc:
+            return i
+    return sig.segments[-1][0]
+
+
+def reference_transition(sys, sig, s, t):
+    """flows.transition with per-call span clipping."""
+    sig.check_modes(sys)
+    phi = np.eye(sys.n)
+    for lo, hi, i in clip_spans(sig, s, t):
+        phi = expm(sys.A(i) * (hi - lo)) @ phi
+    return phi
+
+
+def reference_gramians(sys, sig, t0, t1):
+    """flows.gramians with per-call span clipping."""
+    sig.check_modes(sys)
+    n = sys.n
+    wc = np.zeros((n, n))
+    wo = np.zeros((n, n))
+    back = np.eye(n)
+    fwd = np.eye(n)
+    for lo, hi, i in clip_spans(sig, t0, t1):
+        A, B, C = sys.A(i), sys.B(i), sys.C(i)
+        dt = hi - lo
+        wc += back @ _gram_block(-A, B @ B.T, dt) @ back.T
+        wo += fwd.T @ _gram_block(A.T, C.T @ C, dt) @ fwd
+        step = expm(A * dt)
+        fwd = step @ fwd
+        back = back @ expm(-A * dt)
+    wc = 0.5 * (wc + wc.T)
+    wo = 0.5 * (wo + wo.T)
+    return GramianPair(wc=wc, wo=wo, horizon=t1 - t0)
+
+
+def _zoh_step(sys, sig, t, dt, cache):
+    """Exact one-step propagator (Phi, Gamma) over [t, t+dt] for ZOH input."""
+    n, m = sys.n, sys.m
+    phi = np.eye(n)
+    gam = np.zeros((n, m))
+    for lo, hi, i in clip_spans(sig, t, t + dt):
+        h = hi - lo
+        key = (i, round(h, 15))
+        if key not in cache:
+            M = np.zeros((n + m, n + m))
+            M[:n, :n] = sys.A(i)
+            M[:n, n:] = sys.B(i)
+            E = expm(M * h)
+            cache[key] = (E[:n, :n], E[:n, n:])
+        ephi, egam = cache[key]
+        phi = ephi @ phi
+        gam = ephi @ gam + egam
+    return phi, gam
+
+
+def reference_simulate(sys, sig, u, x0, dt):
+    """flows.simulate with span clipping and a mode_at scan at every step."""
+    sig.check_modes(sys)
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    if u.shape[0] == 1 and sys.m == 1 and u.shape[1] != sys.m:
+        u = u.T
+    if u.shape[1] != sys.m:
+        raise ValueError(f"input samples must have {sys.m} columns, got {u.shape[1]}")
+    if dt <= 0:
+        raise ValueError("grid step must be positive")
+    steps = u.shape[0]
+    horizon = sig.horizon
+    if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"grid ({steps} x {dt}) does not match horizon {horizon}")
+
+    x = np.asarray(x0, dtype=float).reshape(sys.n)
+    times = np.empty(steps + 1)
+    states = np.empty((steps + 1, sys.n))
+    outputs = np.empty((steps + 1, sys.p))
+    cache = {}
+    times[0] = 0.0
+    states[0] = x
+    outputs[0] = sys.C(reference_mode_at(sig, 0.0)) @ x
+    for k in range(steps):
+        t = k * dt
+        phi, gam = _zoh_step(sys, sig, t, dt, cache)
+        x = phi @ x + gam @ u[k]
+        times[k + 1] = min((k + 1) * dt, horizon)
+        states[k + 1] = x
+        outputs[k + 1] = sys.C(reference_mode_at(sig, times[k + 1])) @ x
+    return Trajectory(times=times, states=states, outputs=outputs)
+
+
+def reference_step_operators(sys, sig, T, dt):
+    """l2gain._step_operators with span clipping and a mode_at scan at every step."""
+    steps = int(round(T / dt))
+    if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError("grid step does not divide the horizon")
+    cache = {}
+    phis, gams, cs = [], [], []
+    for k in range(steps):
+        phi, gam = _zoh_step(sys, sig, k * dt, dt, cache)
+        phis.append(phi)
+        gams.append(gam)
+        cs.append(sys.C(reference_mode_at(sig, k * dt)))
+    cs.append(sys.C(reference_mode_at(sig, min(steps * dt, sig.horizon - 1e-12))))
+    return phis, gams, cs, steps
 
 
 def reference_power_lower(sys, sig, T, grid_step, *, iters=80, rtol=1e-10, seed=0):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -18,6 +19,8 @@ from switchgain import (
     validate_membership,
 )
 from switchgain.gallery import example_system
+
+from oracles import reference_mode_at
 
 
 def scalar_system():
@@ -91,6 +94,16 @@ class TestSignal:
         assert sig.mode_at(0.0) == 0
         assert sig.mode_at(1.0) == 1
         assert sig.mode_at(2.0) == 1
+        # running sums that round (0.1 + 0.2 != 0.3) and a segment too short
+        # to move its end: the answer of the linear scan at, just below and
+        # past every switch, at the horizon and past it
+        sig = Signal(((0, 0.1), (1, 0.2), (2, 0.3), (0, 0.7), (1, 1e-17), (2, 0.4), (1, 0.3)))
+        ends = list(itertools.accumulate(d for _, d in sig.segments))
+        times = [-1.0, 0.0, 0.3, sig.horizon, sig.horizon + 1.0, math.inf]
+        times += ends + [math.nextafter(e, -math.inf) for e in ends]
+        times += [math.nextafter(e, math.inf) for e in ends]
+        for t in times:
+            assert sig.mode_at(t) == reference_mode_at(sig, t), t
 
 
 class TestDwellMembership:

@@ -25,7 +25,13 @@ from switchgain.gallery import (
     planted_reducible_system,
     rotated_nodes_pair,
 )
-from switchgain.l2gain import _escape_time, _reversed_segments, _riccati_feasible, _RiccatiKernel
+from switchgain.l2gain import (
+    _escape_time,
+    _reversed_segments,
+    _riccati_feasible,
+    _riccati_sweep,
+    _RiccatiKernel,
+)
 from switchgain.spectral import rho_curve
 
 from oracles import (
@@ -199,6 +205,22 @@ class TestRiccatiKernelParity:
             assert _riccati_feasible(kern, rev, gamma) == rk_riccati_feasible(sysm, rev, gamma), \
                 f"decision differs at gamma={gamma!r}"
 
+    @pytest.mark.parametrize("name", PARITY_CASES)
+    def test_sweep_decisions_match_scalar_test(self, name):
+        """One sweep over a dense grid around the gain decides as the one-gamma test."""
+        sysm, sig, T = PARITY_CASES[name]()
+        rev = _reversed_segments(sig, T)
+        gain = gain_for_signal(sysm, sig, T, tol=self.TOL).value
+        kern = _RiccatiKernel(sysm, T)
+        grid = [gain * (1.0 + f) for f in np.linspace(-0.1, 0.1, 41)] + [gain * 0.5, gain * 2.0]
+        scalar = [_riccati_feasible(kern, rev, gamma) for gamma in grid]
+        assert _riccati_sweep(kern, rev, grid).tolist() == scalar
+        # the stack holds feasible and infeasible values (b_zero has zero
+        # transfer: every gamma passes), and each decides alone as it does in
+        # the stack
+        assert any(scalar) and (name == "b_zero") == all(scalar)
+        assert [bool(_riccati_sweep(kern, rev, [g])[0]) for g in grid[::8]] == scalar[::8]
+
 
 class TestStepBoundRegressions:
     """Inputs on which a step bound from a single basis takes millions of steps."""
@@ -231,6 +253,30 @@ class TestStepBoundRegressions:
         width = self.TOL * max(gain, 1.0)
         assert not rk_riccati_feasible(sysm, rev, gain - width)
         assert rk_riccati_feasible(sysm, rev, gain + width)
+
+
+class TestSweepCost:
+    """Counts, not wall clock: sweeps per bisection and the substep budget."""
+
+    def test_sweeps_per_gain(self, monkeypatch):
+        sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
+        calls = recording(monkeypatch, l2gain, "_riccati_sweep")
+        gain_for_signal(sysm, sig, sig.horizon)
+        # one bracket sweep and three of the bisection's 11 steps; the
+        # sequential search made 15 single-gamma passes
+        assert len(calls) <= 7
+
+    def test_substep_budget(self):
+        # mu(A) ~ 5000 while A is stable: near gamma = 1e-9 the escape bound
+        # allows ~1e-4 per substep, and the scalar test took 17008 substeps
+        sysm = single_mode([[-1.0, 1e4], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+        kern = _RiccatiKernel(sysm, 1.0)
+        for test in (lambda: _riccati_sweep(kern, [(1.0, 0)], [1e-9, 1.0]),
+                     lambda: _riccati_feasible(kern, [(1.0, 0)], 1e-9)):
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match=r"gamma=1e-09 .* segment 0"):
+                test()
+            assert time.monotonic() - t0 < 2.0
 
 
 class TestPowerLower:
