@@ -55,16 +55,12 @@ from .spectral import (
     QuasiExtremalReport,
     RhoCurve,
     RhoEstimate,
-    Word,
-    concat_words,
     extremal_norm,
     quasi_extremal_trajectory,
     rho_curve,
     rho_estimate,
     rho_lower,
     rho_upper,
-    word_flow,
-    word_to_signal,
 )
 
 __version__ = "0.1.0"

@@ -76,7 +76,7 @@ from scipy.sparse.linalg import splu
 from .core import Signal, SignalClassSpec, SystemSpec, validate_membership
 from .flows import _Cursor, _expm_stack, _gram_block, _zoh_step
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
-from .spectral import RhoEstimate, class_tau, rho_lower, rho_upper
+from .spectral import RhoEstimate, certification_grid, class_tau, rho_lower, rho_upper
 
 __all__ = [
     "GainEstimate",
@@ -568,11 +568,14 @@ _BRACKET_WINDOW = 3
 _BISECTION_DEPTH = 3
 
 
-def _feasible_at(kern, rev_segs, gamma):
-    """One decision: the sweep on a long signal, the test of gamma on a short one."""
+def _decisions(kern, rev_segs, gamma, batch=list):
+    """Feasibility decisions {gamma: bool}: on a signal of _SWEEP_SEGMENTS
+    segments or more, one sweep over gamma and the values batch() lists; on a
+    shorter one, the test of gamma alone."""
     if len(rev_segs) >= _SWEEP_SEGMENTS:
-        return bool(_riccati_sweep(kern, rev_segs, [gamma])[0])
-    return _riccati_feasible(kern, rev_segs, gamma)
+        gammas = [gamma] + [g for g in batch() if g != gamma]
+        return dict(zip(gammas, _riccati_sweep(kern, rev_segs, gammas).tolist()))
+    return {gamma: _riccati_feasible(kern, rev_segs, gamma)}
 
 
 def _bisection_points(lo, hi, tol, depth):
@@ -608,19 +611,13 @@ def gain_for_signal(
     if sys.n == 0 or all(np.all(sys.C(i) == 0.0) for _, i in rev):
         return GainEstimate(0.0, T, "rde_bisection", tol, witness_signal=sig)
     kern = _kernel(sys, T)
-    sweep = len(rev) >= _SWEEP_SEGMENTS
     decided = {}
 
     def feasible(gamma, batch):
-        """The decision at gamma.  When it is not known yet: on a signal of
-        _SWEEP_SEGMENTS segments or more, one sweep over gamma and the
-        undecided values batch() lists; on a shorter one, the test of gamma."""
+        """The decision at gamma, made with those of the undecided values batch() lists."""
         if gamma not in decided:
-            if sweep:
-                gammas = [gamma] + [g for g in batch() if g not in decided and g != gamma]
-                decided.update(zip(gammas, _riccati_sweep(kern, rev, gammas).tolist()))
-            else:
-                decided[gamma] = _riccati_feasible(kern, rev, gamma)
+            decided.update(_decisions(kern, rev, gamma,
+                                      lambda: [g for g in batch() if g not in decided]))
         return decided[gamma]
 
     # canonical dyadic bracket: the smallest feasible power of two, so the
@@ -829,27 +826,29 @@ def gain_search(
 
     # one reduction and balancing for every candidate, shared with gain_for_signal
     kern = _RiccatiKernel(sys, T)
+    best = None
+    best_sig = None
+
+    def evaluate(sig):
+        """The gain of a class-valid candidate, or None when it cannot raise the maximum."""
+        if tau > 0 and not validate_membership(sig, dwell_cls).ok:
+            return None
+        # one feasibility probe at the incumbent: a candidate whose RDE
+        # survives at gamma = best cannot raise the maximum
+        if best and _decisions(kern, _reversed_segments(sig, T), best)[best]:
+            return None
+        return gain_for_signal(sys, sig, T, tol, gamma_hi=best or 1.0).value
+
     token = _SEARCH_KERNEL.set(kern)
     try:
-        best = None
-        best_sig = None
         seen = 0
         for sig in _candidate_signals(sys.n_modes, T, max_switches, duration_grid):
             seen += 1
             if seen > eval_budget:
                 break
-            if tau > 0 and not validate_membership(sig, dwell_cls).ok:
-                continue
-            if best is not None and best > 0:
-                # one feasibility probe at the incumbent: a candidate whose RDE
-                # survives at gamma = best cannot raise the maximum
-                if _feasible_at(kern, _reversed_segments(sig, T), best):
-                    continue
-                est = gain_for_signal(sys, sig, T, tol, gamma_hi=best)
-            else:
-                est = gain_for_signal(sys, sig, T, tol)
-            if best is None or est.value > best:
-                best = est.value
+            value = evaluate(sig)
+            if value is not None and (best is None or value > best):
+                best = value
                 best_sig = sig
         if best is None:
             raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
@@ -865,22 +864,14 @@ def gain_search(
                     if hi_lim <= lo_lim:
                         continue
 
-                    def value_at(t_j):
+                    for t_j in np.linspace(lo_lim, hi_lim, 5):
                         ts = switch_times.copy()
                         ts[j] = t_j
                         bounds = np.concatenate([[0.0], ts, [T]])
                         sig2 = Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
                                             for i in range(len(segs))))
-                        if tau > 0 and not validate_membership(sig2, dwell_cls).ok:
-                            return -1.0, None
-                        if best > 0 and _feasible_at(kern, _reversed_segments(sig2, T), best):
-                            return -1.0, None
-                        return gain_for_signal(sys, sig2, T, tol, gamma_hi=best or 1.0).value, sig2
-
-                    candidates = np.linspace(lo_lim, hi_lim, 5)
-                    for t_j in candidates:
-                        v, sig2 = value_at(float(t_j))
-                        if v > best:
+                        v = evaluate(sig2)
+                        if v is not None and v > best:
                             best, best_sig = v, sig2
                             switch_times[j] = t_j
     finally:
@@ -996,7 +987,7 @@ def tau_min(
                 # halve the grid step (shrinks the inflation dead band) and
                 # double the certification budget
                 merged = dict(upper_opts or {})
-                base_delta = merged.get("delta") or (tau / 20.0 if tau > 0 else 0.05)
+                base_delta = merged.get("delta") or certification_grid(tau)[0]
                 merged["delta"] = base_delta / 2.0
                 merged["budget"] = 2 * merged.get("budget", 600)
             verdict = _classify_tau(ms, cls, lower_est, merged)

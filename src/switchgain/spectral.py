@@ -1,9 +1,10 @@
 """Constrained generalized spectral radius over dwell-time switching classes.
 
-Lower bounds come from periodic words: every word whose dwells (including the
-first and last letter) respect the class minimum repeats into a class-valid
-signal, so spectral_radius(flow)^(1/duration) is a rigorous lower bound, and
-single-letter words give e^(spectral abscissa) exactly.  Upper bounds come
+Lower bounds come from periodic words, that is finite signals repeated: every
+signal whose segments (including the first and last one) respect the class
+minimum dwell repeats into a class-valid signal, so
+spectral_radius(flow)^(1/horizon) is a rigorous lower bound, and
+single-segment signals give e^(spectral abscissa) exactly.  Upper bounds come
 from a polytope-norm certificate: a finite set of scaled semigroup products
 defines v(x) = max(|x|, max_j |S_j x|); once every letter of a duration grid
 contracts v at rate mu_c per unit time, so does every product of letters.
@@ -65,16 +66,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import Signal, SignalClassSpec, SystemSpec
+from .flows import Trajectory
 
 __all__ = [
-    "Word",
     "RhoEstimate",
     "PolytopeNorm",
     "RhoCurve",
     "QuasiExtremalReport",
-    "word_flow",
-    "word_to_signal",
-    "concat_words",
     "rho_lower",
     "rho_upper",
     "rho_estimate",
@@ -106,56 +104,14 @@ def class_tau(cls: SignalClassSpec, *, for_upper: bool = False) -> float:
     raise ValueError(f"class kind {cls.kind!r} is not supported by the spectral machinery")
 
 
-@dataclass(frozen=True)
-class Word:
-    """Semigroup element: finite (mode, duration) sequence with boundary dwells."""
-
-    letters: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        for i, d in self.letters:
-            if d <= 0:
-                raise ValueError("letter durations must be positive")
-
-    @property
-    def total_time(self):
-        return sum(d for _, d in self.letters)
-
-    @property
-    def first_dwell(self):
-        return self.letters[0][1] if self.letters else 0.0
-
-    @property
-    def last_dwell(self):
-        return self.letters[-1][1] if self.letters else 0.0
-
-    def valid_for(self, tau):
-        return all(d >= tau - 1e-12 for _, d in self.letters)
-
-
-def concat_words(w1: Word, w2: Word) -> Word:
-    """w1 followed by w2 (merging an equal-mode junction into one dwell)."""
-    if not w1.letters:
-        return w2
-    if not w2.letters:
-        return w1
-    a, b = list(w1.letters), list(w2.letters)
-    if a[-1][0] == b[0][0]:
-        a[-1] = (a[-1][0], a[-1][1] + b[0][1])
-        b = b[1:]
-    return Word(tuple(a) + tuple(b))
-
-
-def word_to_signal(word: Word) -> Signal:
-    return Signal(word.letters)
-
-
-def word_flow(sys: SystemSpec, word: Word):
-    """(flow matrix, total duration) of the word; empty word gives identity."""
-    phi = np.eye(sys.n)
-    for i, d in word.letters:
-        phi = expm(sys.A(i) * d) @ phi
-    return phi, word.total_time
+def certification_grid(tau, delta=None, cap=None):
+    """The certifier's letter-grid step delta and duration cap at dwell floor
+    tau; a value given is kept, a missing one takes its default."""
+    if delta is None:
+        delta = tau / 20.0 if tau > 0 else 0.05
+    if cap is None:
+        cap = 10.0 * max(tau, 1.0)
+    return delta, cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +119,7 @@ class RhoEstimate:
     tau: float
     lower: float
     upper: float
-    witness: Word | None
+    witness: Signal | None
     generator_grid: tuple[float, ...]
     inflation: float
     flags: tuple[str, ...] = ()
@@ -192,7 +148,7 @@ class RhoEstimate:
             "tau": self.tau,
             "lower": self.lower,
             "upper": self.upper if math.isfinite(self.upper) else None,
-            "witness": {"letters": [[i, d] for i, d in self.witness.letters]}
+            "witness": {"letters": [[i, d] for i, d in self.witness.segments]}
             if self.witness
             else None,
             "inflation": self.inflation,
@@ -285,6 +241,12 @@ def _word_value(mats, ts):
     return sr ** (1.0 / total)
 
 
+def _signal_rate(sys, sig):
+    """spectral_radius(flow)^(1/horizon) of a signal, from one expm per segment."""
+    return _word_value([expm(sys.A(i) * d) for i, d in sig.segments],
+                       [d for _, d in sig.segments])
+
+
 def _golden_refine(f, x0, lo, hi, iters=60):
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -323,7 +285,7 @@ def rho_lower(
     Maximizes over (a) single-mode candidates e^(abscissa) and (b) periodic
     words with grid durations, coordinate-descent over the grid and then a
     continuous refinement of the best word's durations (respecting the dwell
-    floor).  The witness word repeats into a class-valid signal.
+    floor).  The witness signal repeats into a class-valid signal.
     """
     tau = class_tau(cls)
     grid = tuple(duration_grid) if duration_grid else default_duration_grid(tau)
@@ -336,7 +298,7 @@ def rho_lower(
         val = math.exp(_spectral_abscissa(mode.A))
         if val > best_val:
             best_val = val
-            best_word = Word(((k, max(tau, grid[0])),))
+            best_word = Signal(((k, max(tau, grid[0])),))
 
     cache = {}
     for k in range(sys.n_modes):
@@ -365,10 +327,10 @@ def rho_lower(
                     break
             if val > best_val:
                 best_val = val
-                best_word = Word(tuple(zip(seq, ts)))
+                best_word = Signal(tuple(zip(seq, ts)))
 
-    if refine and best_word is not None and len(best_word.letters) >= 2:
-        letters = list(best_word.letters)
+    if refine and len(best_word.segments) >= 2:
+        letters = list(best_word.segments)
         lo = max(tau, 1e-3)
         for _ in range(2):
             for pos in range(len(letters)):
@@ -388,9 +350,8 @@ def rho_lower(
                 if v > best_val:
                     best_val = v
                     letters[pos] = (letters[pos][0], x)
-        best_word = Word(tuple(letters))
-        phi, total = word_flow(sys, best_word)
-        best_val = max(best_val, _spectral_radius(phi) ** (1.0 / total))
+        best_word = Signal(tuple(letters))
+        best_val = max(best_val, _signal_rate(sys, best_word))
 
     return RhoEstimate(
         tau=tau,
@@ -593,14 +554,13 @@ class _Certifier:
         self.letters = np.concatenate(mats, axis=0)
         self.letter_times = np.concatenate(times)
 
-    def seed(self, sys, witness: Word | None):
-        if witness is None or not witness.letters:
+    def seed(self, sys, witness: Signal | None):
+        if witness is None:
             return
-        letters = witness.letters
         suffix = np.eye(self.n)
         t_acc = 0.0
         seeds = []
-        for i, d in reversed(letters):
+        for i, d in reversed(witness.segments):
             suffix = suffix @ (expm(sys.A(i) * d) * self.mu_c ** (-d))
             t_acc += d
             seeds.append((suffix.copy(), t_acc))
@@ -773,10 +733,7 @@ def rho_upper(
         mu_hat = lower_estimate.lower
     if mu_hat <= 0:
         raise ValueError("mu_hat must be positive")
-    if delta is None:
-        delta = tau / 20.0 if tau > 0 else 0.05
-    if cap is None:
-        cap = 10.0 * max(tau, 1.0)
+    delta, cap = certification_grid(tau, delta, cap)
     a_max = max(float(np.linalg.norm(m.A, 2)) for m in sys.modes)
     inflation = math.exp(a_max * delta)
 
@@ -827,16 +784,13 @@ def extremal_norm(
     delta: float | None = None,
     cap: float | None = None,
     budget: int = 600,
-    witness: Word | None = None,
+    witness: Signal | None = None,
 ) -> PolytopeNorm:
     """Approximate extremal norm at rate mu_hat from the stabilized iteration."""
     if mu_hat <= 0:
         raise ValueError("mu_hat must be positive")
     tau = class_tau(cls, for_upper=True)
-    if delta is None:
-        delta = tau / 20.0 if tau > 0 else 0.05
-    if cap is None:
-        cap = 10.0 * max(tau, 1.0)
+    delta, cap = certification_grid(tau, delta, cap)
     cert, stabilized, flags = _certify_at(sys, tau, mu_hat, delta, cap, budget, witness)
     return PolytopeNorm(
         scaled=np.stack(cert.stored),
@@ -853,7 +807,7 @@ def extremal_norm(
 
 @dataclass(frozen=True, eq=False)
 class QuasiExtremalReport:
-    trajectory: "Trajectory"
+    trajectory: Trajectory
     mu_hat: float
     c_lower: float
     c_upper: float
@@ -869,8 +823,8 @@ def _witness_polytope(sys, witness, mu_hat, n_cycles=3):
     non-losing move, so the growth certificate of the witness is realized
     instead of the myopic euclidean choice."""
     mats = [np.eye(sys.n)]
-    if witness is not None and witness.letters:
-        scaled = [expm(sys.A(i) * d) * mu_hat ** (-d) for i, d in witness.letters]
+    if witness is not None:
+        scaled = [expm(sys.A(i) * d) * mu_hat ** (-d) for i, d in witness.segments]
         acc = np.eye(sys.n)
         for _ in range(n_cycles):
             for L in reversed(scaled):
@@ -899,17 +853,14 @@ def quasi_extremal_trajectory(
     carries the measured sandwich constants
     c_lower <= |x(t)| / (mu^t |x0|) <= c_upper at all sample times.
     """
-    from .flows import Trajectory
-
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if np.linalg.norm(x0) == 0:
         raise ValueError("x0 must be nonzero")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     tau = class_tau(cls)
-    lower_est = None
+    lower_est = rho_lower(sys, cls, **(search_opts or {}))
     if mu_hat is None:
-        lower_est = rho_lower(sys, cls, **(search_opts or {}))
         mu_hat = lower_est.lower
     log_mu = math.log(mu_hat) if mu_hat > 0 else -math.inf
 
@@ -918,10 +869,8 @@ def quasi_extremal_trajectory(
             duration_grid = (tau, 1.5 * tau, 2.0 * tau, 3.0 * tau)
         else:
             duration_grid = (0.05, 0.1, 0.25, 0.5, 1.0)
-    if lower_est is None:
-        lower_est = rho_lower(sys, cls, **(search_opts or {}))
     durations = sorted(set(tuple(duration_grid) +
-                           tuple(d for _, d in lower_est.witness.letters
+                           tuple(d for _, d in lower_est.witness.segments
                                  if d >= max(tau, 1e-9) - 1e-12)))
     letters = []
     for k in range(sys.n_modes):
@@ -997,14 +946,13 @@ def rho_curve(sys: SystemSpec, taus, *, with_upper=False, search_opts=None,
     if any(t < 0 for t in taus) or list(taus) != sorted(taus):
         raise ValueError("tau values must be nonnegative and sorted ascending")
     ests: list[RhoEstimate | None] = [None] * len(taus)
-    carried: list[Word] = []
+    carried: list[Signal] = []
     for idx in range(len(taus) - 1, -1, -1):
         tau = taus[idx]
         cls = SignalClassSpec.dwell(tau) if tau > 0 else SignalClassSpec.arbitrary()
         est = rho_lower(sys, cls, **(search_opts or {}))
         for w in carried:
-            phi, total = word_flow(sys, w)
-            val = _spectral_radius(phi) ** (1.0 / total) if total > 0 else 0.0
+            val = _signal_rate(sys, w)
             if val > est.lower:
                 est = replace(est, lower=val, witness=w)
         if est.witness is not None:

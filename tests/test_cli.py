@@ -43,6 +43,22 @@ class TestRho:
     def test_missing_tau_is_error(self, scalar_system_file):
         assert main(["rho", "--system", scalar_system_file]) == 1
 
+    def test_readme_example(self, tmp_path):
+        # README: spectral radius under a 0.5s dwell time, with a certified upper bound
+        path = tmp_path / "example.json"
+        assert main(["gallery", "--emit-example", "--alpha", "4.5047", "--out", str(path)]) == 0
+        out = tmp_path / "rho.json"
+        code = main(["rho", "--system", str(path), "--tau", "0.5", "--grid-step", "0.01",
+                     "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert "stabilized" in doc["flags"]
+        assert doc["upper"] < 1.0
+        assert out.read_text() == (
+            '{"flags": ["eps=0.005", "stabilized"], "inflation": 1.0482012325610814, '
+            '"lower": 0.9228671193257661, "tau": 0.5, "upper": 0.9721872042271994, '
+            '"witness": {"letters": [[0, 0.5], [1, 0.6212448002623532]]}}\n')
+
 
 class TestGain:
     def test_signal_gain(self, scalar_system_file, tmp_path):

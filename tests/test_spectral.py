@@ -8,16 +8,14 @@ from switchgain import (
     Signal,
     SignalClassSpec,
     SystemSpec,
-    Word,
-    concat_words,
+    concat_signals,
     extremal_norm,
     quasi_extremal_trajectory,
     rho_curve,
     rho_lower,
     rho_upper,
     transition,
-    word_flow,
-    word_to_signal,
+    validate_membership,
 )
 from switchgain import spectral
 from switchgain.gallery import (
@@ -43,40 +41,31 @@ def autonomous(mats):
 ARB = SignalClassSpec.arbitrary()
 
 
-class TestWordFlow:
-    def test_empty_word(self):
-        sysm = autonomous([np.array([[-1.0]])])
-        phi, t = word_flow(sysm, Word(()))
-        assert t == 0.0
-        np.testing.assert_array_equal(phi, np.eye(1))
+def flow(sysm, sig):
+    return transition(sysm, sig, 0.0, sig.horizon)
 
-    def test_single_letter(self):
-        sysm = autonomous([np.array([[-2.0]])])
-        phi, t = word_flow(sysm, Word(((0, 0.7),)))
-        assert t == pytest.approx(0.7)
-        assert phi[0, 0] == pytest.approx(math.exp(-1.4))
+
+class TestSignalSemigroup:
+    """Witnesses are signals: their flows compose and their dwells close under concatenation."""
 
     def test_concat_matches_transition(self):
         rng = np.random.default_rng(0)
         sysm = autonomous([rng.standard_normal((3, 3)) for _ in range(2)])
-        w1 = Word(((0, 0.4), (1, 0.3)))
-        w2 = Word(((1, 0.5), (0, 0.2)))
-        w = concat_words(w1, w2)
-        phi, _ = word_flow(sysm, w)
-        ref = transition(sysm, word_to_signal(w), 0.0, w.total_time)
-        np.testing.assert_allclose(phi, ref, rtol=1e-10, atol=1e-12)
+        s1 = Signal(((0, 0.4), (1, 0.3)))
+        s2 = Signal(((1, 0.5), (0, 0.2)))
+        s = concat_signals(s1, s2)
+        assert s.segments == ((0, 0.4), (1, 0.8), (0, 0.2))
         # semigroup law: flows multiply in application order
-        p1, _ = word_flow(sysm, w1)
-        p2, _ = word_flow(sysm, w2)
-        np.testing.assert_allclose(phi, p2 @ p1, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(flow(sysm, s), flow(sysm, s2) @ flow(sysm, s1),
+                                   rtol=1e-10, atol=1e-12)
 
     def test_semigroup_closure_dwell(self):
-        w1 = Word(((0, 1.0), (1, 1.5)))
-        w2 = Word(((1, 1.2), (0, 1.0)))
-        w = concat_words(w1, w2)
-        assert w.valid_for(1.0)
-        assert w.total_time == pytest.approx(w1.total_time + w2.total_time)
-        assert w.letters[1] == (1, 2.7)
+        s1 = Signal(((0, 1.0), (1, 1.5)))
+        s2 = Signal(((1, 1.2), (0, 1.0)))
+        s = concat_signals(s1, s2)
+        assert validate_membership(s, SignalClassSpec.dwell(1.0)).ok
+        assert s.horizon == pytest.approx(s1.horizon + s2.horizon)
+        assert s.segments[1] == (1, 2.7)
 
 
 class TestRhoLower:
@@ -99,19 +88,19 @@ class TestRhoLower:
     def test_witness_invariant(self):
         sysm = example_planar_pair(4.0)
         est = rho_lower(sysm, ARB)
-        phi, t = word_flow(sysm, est.witness)
-        sr = max(abs(np.linalg.eigvals(phi)))
-        assert est.lower == pytest.approx(sr ** (1.0 / t), rel=1e-9)
+        sr = max(abs(np.linalg.eigvals(flow(sysm, est.witness))))
+        assert est.lower == pytest.approx(sr ** (1.0 / est.witness.horizon), rel=1e-9)
 
     def test_witness_respects_dwell(self):
         sysm = rotated_nodes_pair()
-        est = rho_lower(sysm, SignalClassSpec.dwell(0.8))
-        assert est.witness.valid_for(0.8)
+        cls = SignalClassSpec.dwell(0.8)
+        est = rho_lower(sysm, cls)
+        assert validate_membership(est.witness, cls).ok
 
     def test_sr_below_norm_sanity(self):
         sysm = example_planar_pair(4.0)
         est = rho_lower(sysm, ARB)
-        phi, t = word_flow(sysm, est.witness)
+        phi = flow(sysm, est.witness)
         sr = max(abs(np.linalg.eigvals(phi)))
         assert sr <= np.linalg.norm(phi, 2) * (1 + 1e-12)
 
@@ -121,8 +110,8 @@ class TestGoldenRefinementExpm:
 
     Each of the 2 rounds refines every position of the best word (k letters)
     with 63 evaluations (2 + 60 iterations + the midpoint); the k - 1 fixed
-    letters' exponentials are built once per position, and word_flow builds
-    k more at the end.  Bounds and witnesses are pinned to the outputs of the
+    letters' exponentials are built once per position, and the rate of the
+    refined witness takes k more at the end.  Bounds and witnesses are pinned to the outputs of the
     version that rebuilt all k exponentials per evaluation.
     """
 
@@ -152,7 +141,7 @@ class TestGoldenRefinementExpm:
         k = len(letters)
         assert len(calls) == 2 * k * (63 + k - 1) + k
         assert est.lower == float.fromhex(lower)
-        assert est.witness.letters == tuple((i, float.fromhex(d)) for i, d in letters)
+        assert est.witness.segments == tuple((i, float.fromhex(d)) for i, d in letters)
 
 
 class TestRhoUpper:
@@ -362,7 +351,6 @@ class TestQuasiExtremal:
         assert np.all(rates <= est.upper * (1 + 1e-6))
 
     def test_signal_is_class_valid(self):
-        from switchgain import validate_membership
         sysm = rotated_nodes_pair()
         cls = SignalClassSpec.dwell(0.7)
         rep = quasi_extremal_trajectory(sysm, cls, np.array([1.0, 1.0]), 12.0)
