@@ -1,8 +1,8 @@
 """Command-line interface: minreal, rho, gain, taumin, finiteness, gallery.
 
 All reports are UTF-8 JSON (sorted keys) or CSV; a fixed --seed makes runs
-byte-identical.  Exit codes: 0 success, 1 error, 2 mathematically
-undetermined outcome (a rho bracket straddling 1).
+byte-identical.  Exit codes: 0 success, 1 error (usage errors included), 2
+mathematically undetermined outcome (a rho bracket straddling 1).
 """
 
 from __future__ import annotations
@@ -118,13 +118,14 @@ def _class_from_args(args):
 
 
 def _upper_opts(args):
+    """rho_upper options from the --grid-step, --horizon and --budget flags given."""
     opts = {}
-    if getattr(args, "grid_step", None):
-        opts["delta"] = args.grid_step
-    if getattr(args, "horizon", None):
-        opts["cap"] = args.horizon
-    if getattr(args, "budget", None):
-        opts["budget"] = args.budget
+    for flag, key in (("grid_step", "delta"), ("horizon", "cap"), ("budget", "budget")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            if not value > 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be positive")
+            opts[key] = value
     return opts
 
 
@@ -203,12 +204,8 @@ def _run_gain(args):
 
 def _run_taumin(args):
     sysm = _load_system(args.system)
-    upper_opts = {}
-    if args.grid_step:
-        upper_opts["delta"] = args.grid_step
-    upper_opts["budget"] = args.budget
     res = l2gain.tau_min(sysm, (args.tau_lo, args.tau_hi), args.tol,
-                         upper_opts=upper_opts)
+                         upper_opts=_upper_opts(args))
     doc = {
         "tau_reject": res.tau_reject,
         "tau_accept": res.tau_accept,
@@ -270,8 +267,13 @@ def _run_gallery(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:
+            # argparse exits 2 on a usage error, and 2 here means undetermined
+            return 1
+        raise
     handlers = {
         "minreal": _run_minreal,
         "rho": _run_rho,

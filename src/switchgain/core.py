@@ -172,7 +172,7 @@ class SignalClassSpec:
         return SignalClassSpec("bv", T=float(T), nu=float(nu))
 
 
-def _check_segments(segments, value_check, value_name):
+def _check_segments(segments, value_check):
     if not segments:
         raise ValueError("signal needs at least one segment")
     out = []
@@ -200,7 +200,7 @@ class Signal:
                 raise ValueError(f"segment {k}: mode index must be a nonnegative integer")
             return int(v)
 
-        object.__setattr__(self, "segments", _check_segments(self.segments, check, "mode"))
+        object.__setattr__(self, "segments", _check_segments(self.segments, check))
 
     @property
     def horizon(self):
@@ -254,7 +254,7 @@ class AlphaSignal:
                 raise ValueError(f"segment {k}: alpha must lie in [0, 1]")
             return v
 
-        object.__setattr__(self, "segments", _check_segments(self.segments, check, "alpha"))
+        object.__setattr__(self, "segments", _check_segments(self.segments, check))
 
     @property
     def horizon(self):

@@ -82,9 +82,10 @@ def _planar_rates(theta, alpha):
     return g1, num / den
 
 
-def worst_turn_ratio(alpha: float, n_theta: int = 40001) -> float:
-    """Return ratio r(alpha) of the most-destabilizing planar law over one turn."""
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta)
+def worst_turn_ratio(alpha: float) -> float:
+    """Return ratio r(alpha) of the most-destabilizing planar law over one turn
+    (Simpson's rule on 40001 angles)."""
+    theta = np.linspace(0.0, 2.0 * math.pi, 40001)
     g1, g2 = _planar_rates(theta, alpha)
     g = np.maximum(g1, g2)
     h = theta[1] - theta[0]
@@ -92,7 +93,7 @@ def worst_turn_ratio(alpha: float, n_theta: int = 40001) -> float:
     return math.exp(integral)
 
 
-def alpha_star(tol: float = 1e-4, *, bracket=(2.0, 6.0), n_theta: int = 40001) -> float:
+def alpha_star(tol: float = 1e-4, *, bracket=(2.0, 6.0)) -> float:
     """Coupling value at which the planar pair is marginally stable.
 
     Bisection on the sign of r(alpha) - 1; returns a midpoint with
@@ -101,13 +102,13 @@ def alpha_star(tol: float = 1e-4, *, bracket=(2.0, 6.0), n_theta: int = 40001) -
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = float(bracket[0]), float(bracket[1])
-    r_lo, r_hi = worst_turn_ratio(lo, n_theta), worst_turn_ratio(hi, n_theta)
+    r_lo, r_hi = worst_turn_ratio(lo), worst_turn_ratio(hi)
     if not (r_lo < 1.0 < r_hi):
         raise ValueError(f"bracket does not straddle marginality: r({lo})={r_lo}, r({hi})={r_hi}")
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        r = worst_turn_ratio(mid, n_theta)
+        r = worst_turn_ratio(mid)
         if abs(r - 1.0) < tol and hi - lo < 1e-5:
             break
         if r < 1.0:
@@ -165,8 +166,10 @@ class PlanarNorm:
         return float(self.radii.max() / self.radii.min())
 
 
-def planar_norm(alpha: float, n_points: int = 2048) -> PlanarNorm:
-    """Worst-case closed orbit, scaled into the annulus 1 <= x1^2+x2^2 <= 3."""
+def planar_norm(alpha: float) -> PlanarNorm:
+    """Worst-case closed orbit, scaled into the annulus 1 <= x1^2+x2^2 <= 3,
+    tabulated at 2049 equally spaced angles (the last closes the turn)."""
+    n_points = 2048
     n_fine = 16 * n_points
     theta = np.linspace(0.0, 2.0 * math.pi, n_fine + 1)
     g1, g2 = _planar_rates(theta, alpha)
@@ -198,27 +201,25 @@ class LyapunovReport:
     planar_decay_max: float           # max dv/dt along modes 1-2 with x3 = 0
 
 
-def verify_lyapunov_decay(alpha: float, n_samples: int, *, seed: int = 0,
-                          orbit_points: int = 2048, radius: float = 10.0,
-                          u_max: float = 5.0) -> LyapunovReport:
+def verify_lyapunov_decay(alpha: float, n_samples: int, *, seed: int = 0) -> LyapunovReport:
     """Sampled dissipation check of V = (v^2 + x3^2)/2 for the example family.
 
-    Draws states in the ball of the given radius, one random mode and input
-    per sample, and measures dV/dt - (-x3^2/4 + |u x3|); the report carries
+    Draws states in the ball of radius 10, one random mode and an input in
+    [-5, 5] per sample, and measures dV/dt - (-x3^2/4 + |u x3|); the report carries
     the maximum over samples together with the side conditions on the planar
     norm (gradient bound sqrt(3), annulus containment, orbit closure).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     sysm = example_system(alpha)
-    norm = planar_norm(alpha, orbit_points)
+    norm = planar_norm(alpha)
 
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_samples, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = radius * rng.random(n_samples) ** (1.0 / 3.0)
+    radii = 10.0 * rng.random(n_samples) ** (1.0 / 3.0)
     X = dirs * radii[:, None]
-    U = u_max * (2.0 * rng.random(n_samples) - 1.0)
+    U = 5.0 * (2.0 * rng.random(n_samples) - 1.0)
     modes = rng.integers(0, 3, n_samples)
 
     v = norm.value(X[:, 0], X[:, 1])

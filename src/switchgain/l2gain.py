@@ -325,29 +325,36 @@ def _exponentials(H, t, whole=None, dt=None):
     return E
 
 
-def _substep(H, P, h, E):
-    """P after one substep h from each P: Y X^-1 with [X; Y] = E [I; P].
-
-    E holds expm(H h).  Where X or Y is not finite or cond(X) >= _COND_MAX,
-    h is halved in place and E rebuilt, until every substep passes.
-    """
+def _hamiltonian_step(E, P):
+    """(P_next, ok) for stacks E and P: P_next = Y X^-1, symmetrized, with
+    [X; Y] = E [I; P]; ok where X and Y are finite and cond(X) < _COND_MAX,
+    the steps whose P_next may be used."""
     n = P.shape[-1]
+    XY = E[:, :, :n] + E[:, :, n:] @ P
+    X, Y = XY[:, :n], XY[:, n:]
+    ok = np.isfinite(XY).all(axis=(1, 2))
+    if ok.all():
+        U, sv, Vt = np.linalg.svd(X)
+    else:
+        U, sv, Vt = np.linalg.svd(np.where(ok[:, None, None], X, np.eye(n)))
+    ok &= sv[:, 0] < _COND_MAX * sv[:, -1]
+    P_next = (Y @ Vt.swapaxes(-1, -2) / sv[:, None, :]) @ U.swapaxes(-1, -2)
+    return 0.5 * (P_next + P_next.swapaxes(-1, -2)), ok
+
+
+def _substep(H, P, h, E):
+    """P after one substep h from each P (_hamiltonian_step).
+
+    E holds expm(H h).  Where the step is not usable, h is halved in place
+    and E rebuilt, until every substep passes.
+    """
     while True:
-        XY = E[:, :, :n] + E[:, :, n:] @ P
-        X, Y = XY[:, :n], XY[:, n:]
-        ok = np.isfinite(XY).all(axis=(1, 2))
+        P_next, ok = _hamiltonian_step(E, P)
         if ok.all():
-            U, sv, Vt = np.linalg.svd(X)
-        else:
-            U, sv, Vt = np.linalg.svd(np.where(ok[:, None, None], X, np.eye(n)))
-        ok &= sv[:, 0] < _COND_MAX * sv[:, -1]
-        if ok.all():
-            break
+            return P_next
         bad = ~ok
         h[bad] *= 0.5
         E[bad] = _exponentials(H[bad], h[bad])
-    P = (Y @ Vt.swapaxes(-1, -2) / sv[:, None, :]) @ U.swapaxes(-1, -2)
-    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 # fresh exponentials from which one _expm_stack call costs less than as
@@ -511,16 +518,7 @@ def _riccati_sweep(kern, rev_segs, gammas):
         for seg, (dt, i) in enumerate(rev_segs):
             starts[seg, alive] = P
             E = whole[seg, alive]
-            XY = E[:, :, :n] + E[:, :, n:] @ P
-            X, Y = XY[:, :n], XY[:, n:]
-            ok = np.isfinite(XY).all(axis=(1, 2))
-            if ok.all():
-                U, sv, Vt = np.linalg.svd(X)
-            else:
-                U, sv, Vt = np.linalg.svd(np.where(ok[:, None, None], X, np.eye(n)))
-            ok &= sv[:, 0] < _COND_MAX * sv[:, -1]
-            P_next = (Y @ Vt.swapaxes(-1, -2) / sv[:, None, :]) @ U.swapaxes(-1, -2)
-            P_next = 0.5 * (P_next + P_next.swapaxes(-1, -2))
+            P_next, ok = _hamiltonian_step(E, P)
             if not ok.all():
                 bad = alive[~ok]
                 P_next[~ok], status[seg, bad] = _certify(
@@ -595,11 +593,12 @@ def gain_for_signal(
     *,
     gamma_hi: float = 1.0,
     compute_witness: bool = False,
-    witness_dt: float | None = None,
 ) -> GainEstimate:
     """Finite-horizon L2-gain of one signal via Riccati bisection.
 
-    Bisection tolerance is relative: |hi - lo| < tol * max(hi, 1).
+    Bisection tolerance is relative: |hi - lo| < tol * max(hi, 1).  With
+    compute_witness, a power iteration on the grid of step T / 400 attaches
+    a witness input and its energy ratio.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -656,7 +655,7 @@ def gain_for_signal(
     witness_u = None
     dt_used = None
     if compute_witness:
-        dt_used = witness_dt if witness_dt else T / 400.0
+        dt_used = T / 400.0
         power = gain_power_lower(sys, sig, T, dt_used)
         ratio = power.value
         witness_u = power.witness_input
@@ -882,39 +881,39 @@ def gain_search(
 # ---------------------------------------------------------------------------
 # finiteness and tau_min
 
+# distance below 1 at which a rho lower bound still counts as a unit radius
+_UNIT_TOL = 1e-9
+
 
 def finiteness_test(
     sys: SystemSpec,
     cls: SignalClassSpec,
     *,
-    search_opts: dict | None = None,
     upper_opts: dict | None = None,
-    obs_window: float | None = None,
-    obs_samples: int = 12,
-    tol: float = 1e-9,
     seed: int = 0,
 ) -> FinitenessVerdict:
     """Gain-finiteness trichotomy from the minimal realization's rho bounds.
 
-    finite requires a certified upper bound below one; infinite requires the
-    rigorous lower bound above one, or at one combined with certified uniform
-    observability.  Anything else is undetermined; without uniform
-    observability a unit spectral radius genuinely leaves both outcomes open.
+    The bounds come from rho_lower at its defaults and rho_upper with
+    upper_opts.  finite requires a certified upper bound below one; infinite
+    requires the rigorous lower bound above one, or within _UNIT_TOL of one
+    combined with certified uniform observability (12 sampled signals of
+    horizon max(1, 2 tau), drawn from seed).  Anything else is undetermined;
+    without uniform observability a unit spectral radius genuinely leaves
+    both outcomes open.
     """
     if cls.kind not in ("arbitrary", "dwell"):
         raise ValueError(f"finiteness test supports arbitrary/dwell classes, not {cls.kind!r}")
     minreal = minimal_realization(sys)
     if minreal.dim == 0:
         zero = RhoEstimate(tau=class_tau(cls), lower=0.0, upper=0.0, witness=None,
-                           generator_grid=(), inflation=1.0, flags=("zero_system",))
+                           inflation=1.0, flags=("zero_system",))
         return FinitenessVerdict("finite", zero, None,
                                  "minimal realization is zero-dimensional; the gain is 0", 0)
     ms = minreal.sys_min
-    lower_est = rho_lower(ms, cls, **(search_opts or {}))
-    est = rho_upper(ms, cls, lower_estimate=lower_est, **(upper_opts or {}))
-    tau = class_tau(cls)
-    window = obs_window if obs_window else max(1.0, 2.0 * tau)
-    obs = check_uniform_observability(ms, cls, window, samples=obs_samples, seed=seed)
+    est = rho_upper(ms, cls, lower_estimate=rho_lower(ms, cls), **(upper_opts or {}))
+    window = max(1.0, 2.0 * class_tau(cls))
+    obs = check_uniform_observability(ms, cls, window, samples=12, seed=seed)
 
     obs_text = {
         "uniformly_observable": "minimal realization is uniformly observable",
@@ -928,9 +927,9 @@ def finiteness_test(
     elif est.lower > 1.0:
         verdict = "infinite"
         rationale = f"rho lower bound {est.lower:.6f} > 1"
-    elif est.lower >= 1.0 - tol and obs.verdict == "uniformly_observable":
+    elif est.lower >= 1.0 - _UNIT_TOL and obs.verdict == "uniformly_observable":
         verdict = "infinite"
-        rationale = (f"rho lower bound {est.lower:.6f} >= 1 - {tol:g} and the "
+        rationale = (f"rho lower bound {est.lower:.6f} >= 1 - {_UNIT_TOL:g} and the "
                      f"{obs_text}")
     else:
         verdict = "undetermined"
@@ -953,17 +952,17 @@ def tau_min(
     bracket,
     tol: float = 0.05,
     *,
-    search_opts: dict | None = None,
     upper_opts: dict | None = None,
-    boost_opts: dict | None = None,
-    max_iters: int = 60,
 ) -> TauMinResult:
     """Bracket the minimal dwell time via bisection on the rho trichotomy.
 
-    Requires rho(tau_lo) >= 1 (reject side) and a certified rho(tau_hi) < 1
-    (accept side).  Undecided midpoints retry with a boosted budget and then
-    fall back to quarter-point probing; a persistent undecided zone returns
-    the wider interval with an 'undecided_zone' flag.
+    Each tau is classified from rho_lower at its defaults and rho_upper with
+    upper_opts.  Requires rho(tau_lo) >= 1 (reject side) and a certified
+    rho(tau_hi) < 1 (accept side).  An undecided tau is retried once with
+    half the grid step delta and twice the budget; undecided midpoints then
+    fall back to quarter-point probing, and a persistent undecided zone
+    returns the wider interval with an 'undecided_zone' flag.  The bisection
+    stops at width tol or after 60 steps.
     """
     tau_lo, tau_hi = float(bracket[0]), float(bracket[1])
     if not (0 <= tau_lo < tau_hi):
@@ -977,19 +976,15 @@ def tau_min(
         cls = SignalClassSpec.dwell(tau) if tau > 0 else SignalClassSpec.arbitrary()
         # the boosted retry changes only the upper bound's options, so it
         # reuses the lower estimate
-        lower_est = rho_lower(ms, cls, **(search_opts or {}))
+        lower_est = rho_lower(ms, cls)
         verdict = _classify_tau(ms, cls, lower_est, upper_opts)
         if verdict == "undecided":
-            if boost_opts is not None:
-                merged = dict(upper_opts or {})
-                merged.update(boost_opts)
-            else:
-                # halve the grid step (shrinks the inflation dead band) and
-                # double the certification budget
-                merged = dict(upper_opts or {})
-                base_delta = merged.get("delta") or certification_grid(tau)[0]
-                merged["delta"] = base_delta / 2.0
-                merged["budget"] = 2 * merged.get("budget", 600)
+            # halve the grid step (shrinks the inflation dead band) and
+            # double the certification budget
+            merged = dict(upper_opts or {})
+            base_delta = merged.get("delta") or certification_grid(tau)[0]
+            merged["delta"] = base_delta / 2.0
+            merged["budget"] = 2 * merged.get("budget", 600)
             verdict = _classify_tau(ms, cls, lower_est, merged)
         return verdict
 
@@ -1006,7 +1001,7 @@ def tau_min(
 
     lo, hi = tau_lo, tau_hi
     flags = []
-    for _ in range(max_iters):
+    for _ in range(60):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)

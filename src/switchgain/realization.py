@@ -64,7 +64,6 @@ class MinimalRealization:
 
     sys_min: SystemSpec | None
     maps: ReductionMaps
-    original_label: str = ""
 
     @property
     def dim(self):
@@ -76,8 +75,6 @@ class ObservabilityReport:
     per_mode_observable: tuple[bool, ...]
     gramian_floor: float
     verdict: str                     # uniformly_observable / not_uniformly_observable / inconclusive
-    window: float
-    samples: int
 
 
 def _orth(columns, n):
@@ -164,7 +161,7 @@ def minimal_realization(sys: SystemSpec) -> MinimalRealization:
     if sys_c is None:
         Q = _complete_basis(R, n)
         maps = ReductionMaps(Q, 0, 0, np.zeros((0, n)), np.zeros((n, 0)))
-        return MinimalRealization(None, maps, sys.label)
+        return MinimalRealization(None, maps)
     obs = observable_subspace(sys_c)
     S = obs.basis
     n_min = obs.dim
@@ -180,7 +177,7 @@ def minimal_realization(sys: SystemSpec) -> MinimalRealization:
         projector_to_min=RS.T,
         injector_from_min=RS,
     )
-    return MinimalRealization(sys_min, maps, sys.label)
+    return MinimalRealization(sys_min, maps)
 
 
 def _word_columns(sys, depth):
@@ -313,4 +310,4 @@ def check_uniform_observability(
         verdict = "uniformly_observable"
     else:
         verdict = "inconclusive"
-    return ObservabilityReport(per_mode, floor, verdict, window, samples)
+    return ObservabilityReport(per_mode, floor, verdict)

@@ -120,11 +120,8 @@ class RhoEstimate:
     lower: float
     upper: float
     witness: Signal | None
-    generator_grid: tuple[float, ...]
     inflation: float
     flags: tuple[str, ...] = ()
-    delta: float | None = None
-    cap: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper + 1e-12):
@@ -134,10 +131,6 @@ class RhoEstimate:
     def certified(self):
         """Whether the upper bound is certified: stabilized, without the long-dwell heuristic."""
         return "stabilized" in self.flags and "long_dwell_heuristic" not in self.flags
-
-    @property
-    def lyapunov_exponent_lower(self):
-        return math.log(self.lower) if self.lower > 0 else -math.inf
 
     @property
     def lyapunov_exponent_upper(self):
@@ -247,12 +240,12 @@ def _signal_rate(sys, sig):
                        [d for _, d in sig.segments])
 
 
-def _golden_refine(f, x0, lo, hi, iters=60):
+def _golden_refine(f, lo, hi):
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
@@ -277,8 +270,6 @@ def rho_lower(
     *,
     max_letters: int = 4,
     duration_grid=None,
-    refine_iters: int = 2,
-    refine: bool = True,
 ) -> RhoEstimate:
     """Rigorous lower bound on the constrained generalized spectral radius.
 
@@ -312,7 +303,7 @@ def rho_lower(
         for ts0 in starts:
             ts = list(ts0)
             val = _word_value([cache[(i, t)] for i, t in zip(seq, ts)], ts)
-            for _ in range(max(refine_iters, 1) + 1):
+            for _ in range(3):
                 changed = False
                 for pos in range(k):
                     for g in grid:
@@ -329,7 +320,7 @@ def rho_lower(
                 best_val = val
                 best_word = Signal(tuple(zip(seq, ts)))
 
-    if refine and len(best_word.segments) >= 2:
+    if len(best_word.segments) >= 2:
         letters = list(best_word.segments)
         lo = max(tau, 1e-3)
         for _ in range(2):
@@ -346,7 +337,7 @@ def rho_lower(
                     return _word_value(mats, [d for _, d in trial])
 
                 hi = max(4.0 * letters[pos][1], lo + 1.0)
-                x, v = _golden_refine(f, letters[pos][1], lo, hi)
+                x, v = _golden_refine(f, lo, hi)
                 if v > best_val:
                     best_val = v
                     letters[pos] = (letters[pos][0], x)
@@ -358,7 +349,6 @@ def rho_lower(
         lower=best_val,
         upper=math.inf,
         witness=best_word,
-        generator_grid=grid,
         inflation=1.0,
         flags=("lower_only",),
     )
@@ -705,42 +695,46 @@ def _certify_at(sys, tau, mu_c, delta, cap, budget, witness):
     return cert, stabilized, flags
 
 
+# certification attempts of rho_upper, each after the first at twice the
+# previous eps
+_EPS_ATTEMPTS = 4
+
+
 def rho_upper(
     sys: SystemSpec,
     cls: SignalClassSpec,
     *,
-    mu_hat: float | None = None,
     lower_estimate: RhoEstimate | None = None,
     eps: float = 0.005,
     delta: float | None = None,
     cap: float | None = None,
     budget: int = 600,
-    eps_attempts: int = 4,
-    search_opts: dict | None = None,
 ) -> RhoEstimate:
     """Certified-up-to-grid-inflation upper bound on the spectral radius.
 
-    The candidate rate is mu_hat (default: the lower-bound search result)
-    inflated by eps; certification failures retry with doubled eps.  The
+    The candidate rate is the lower bound of lower_estimate (default: a
+    rho_lower search at its defaults) inflated by eps > 0; certification
+    failures retry with doubled eps, _EPS_ATTEMPTS attempts in all.  The
     reported upper bound is mu_c * exp(a_max * delta) where a_max is the
-    largest mode norm; a 'budget_exhausted' or 'long_dwell_heuristic' flag
-    marks the bound as best-effort rather than certified.
+    largest mode norm, so it is never below the lower bound; a
+    'budget_exhausted' or 'long_dwell_heuristic' flag marks the bound as
+    best-effort rather than certified.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     tau = class_tau(cls, for_upper=True)
     if lower_estimate is None:
-        lower_estimate = rho_lower(sys, cls, **(search_opts or {}))
-    if mu_hat is None:
-        mu_hat = lower_estimate.lower
-    if mu_hat <= 0:
-        raise ValueError("mu_hat must be positive")
+        lower_estimate = rho_lower(sys, cls)
+    if lower_estimate.lower <= 0:
+        raise ValueError("the rho lower bound must be positive")
     delta, cap = certification_grid(tau, delta, cap)
     a_max = max(float(np.linalg.norm(m.A, 2)) for m in sys.modes)
     inflation = math.exp(a_max * delta)
 
     attempt_eps = eps
     result = None
-    for _ in range(max(eps_attempts, 1)):
-        mu_c = mu_hat * (1.0 + attempt_eps)
+    for _ in range(_EPS_ATTEMPTS):
+        mu_c = lower_estimate.lower * (1.0 + attempt_eps)
         cert, stabilized, flags = _certify_at(sys, tau, mu_c, delta, cap, budget, lower_estimate.witness)
         if stabilized and "budget_exhausted" not in flags:
             result = (mu_c, stabilized, flags, attempt_eps)
@@ -753,20 +747,13 @@ def rho_upper(
     out_flags = set(flags)
     out_flags.add("stabilized" if stabilized else "not_stabilized")
     out_flags.add(f"eps={used_eps:g}")
-    upper = mu_c * inflation
-    if upper < lower_estimate.lower:
-        # only reachable with a user-supplied mu_hat below the search result
-        out_flags.add("lower_clamped_to_upper")
     return RhoEstimate(
         tau=lower_estimate.tau,
-        lower=min(lower_estimate.lower, upper),
-        upper=upper,
+        lower=lower_estimate.lower,
+        upper=mu_c * inflation,
         witness=lower_estimate.witness,
-        generator_grid=lower_estimate.generator_grid,
         inflation=inflation,
         flags=tuple(sorted(out_flags)),
-        delta=delta,
-        cap=cap,
     )
 
 
@@ -814,8 +801,8 @@ class QuasiExtremalReport:
     signal: Signal
 
 
-def _witness_polytope(sys, witness, mu_hat, n_cycles=3):
-    """Scaled completions (suffix products) of the repeated witness cycle.
+def _witness_polytope(sys, witness, mu_hat):
+    """Scaled completions (suffix products) of the witness cycle repeated three times.
 
     With suffixes S_j = L_k ... L_{j+1} stored, applying the cycle letter at
     phase j maps the S_{j+1}-component onto the S_j-component, so a greedy
@@ -826,7 +813,7 @@ def _witness_polytope(sys, witness, mu_hat, n_cycles=3):
     if witness is not None:
         scaled = [expm(sys.A(i) * d) * mu_hat ** (-d) for i, d in witness.segments]
         acc = np.eye(sys.n)
-        for _ in range(n_cycles):
+        for _ in range(3):
             for L in reversed(scaled):
                 acc = acc @ L
                 if np.isfinite(acc).all():
@@ -840,10 +827,7 @@ def quasi_extremal_trajectory(
     x0,
     horizon: float,
     *,
-    mu_hat: float | None = None,
     duration_grid=None,
-    sample_dt: float = 0.05,
-    search_opts: dict | None = None,
 ) -> QuasiExtremalReport:
     """Greedy class-valid trajectory tracking the worst-case growth rate.
 
@@ -851,7 +835,8 @@ def quasi_extremal_trajectory(
     the witness-cycle polytope norm (the scaled prefixes of the lower-bound
     witness); ties break on lowest mode then shortest duration.  The report
     carries the measured sandwich constants
-    c_lower <= |x(t)| / (mu^t |x0|) <= c_upper at all sample times.
+    c_lower <= |x(t)| / (mu^t |x0|) <= c_upper at all sample times, which are
+    at most 0.05 apart; mu is the rho_lower bound at its defaults.
     """
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if np.linalg.norm(x0) == 0:
@@ -859,9 +844,8 @@ def quasi_extremal_trajectory(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     tau = class_tau(cls)
-    lower_est = rho_lower(sys, cls, **(search_opts or {}))
-    if mu_hat is None:
-        mu_hat = lower_est.lower
+    lower_est = rho_lower(sys, cls)
+    mu_hat = lower_est.lower
     log_mu = math.log(mu_hat) if mu_hat > 0 else -math.inf
 
     if duration_grid is None:
@@ -896,7 +880,7 @@ def quasi_extremal_trajectory(
                 best = (key, k1, d1, E1)
         _, k1, d1, E1 = best
         d1 = min(d1, max(horizon - t, min(durations)))
-        steps = max(int(math.ceil(d1 / sample_dt)), 1)
+        steps = max(int(math.ceil(d1 / 0.05)), 1)
         h = d1 / steps
         Eh = expm(sys.A(k1) * h)
         for _ in range(steps):

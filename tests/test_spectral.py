@@ -181,6 +181,12 @@ class TestRhoUpper:
             est = rho_upper(sysm, SignalClassSpec.dwell(tau))
             assert est.lower <= est.upper
 
+    @pytest.mark.parametrize("eps", [0.0, -0.01, math.nan])
+    def test_nonpositive_eps_rejected(self, eps):
+        # eps = 0 would repeat one attempt four times; eps < 0 would certify below the lower bound
+        with pytest.raises(ValueError, match="eps"):
+            rho_upper(rotated_nodes_pair(), ARB, eps=eps)
+
 
 class TestExtremalNorm:
     def test_scalar_equality(self):
