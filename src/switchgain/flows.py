@@ -10,14 +10,31 @@ Gramian is anchored at the left endpoint t0,
     wc = int_{t0}^{t1} Phi(t0, s) B(s) B(s)^T Phi(t0, s)^T ds,
     wo = int_{t0}^{t1} Phi(s, t0)^T C(s)^T C(s) Phi(s, t0) ds.
 
-Segment cursor.  simulate and l2gain's step operators ask for the spans of
-one grid step after another, so a _Cursor resumes each query at the segment
-where the previous one stopped: clipping N steps of S segments costs
-O(S + N), not O(S N), and each step's output mode is a bisection over the
-segment ends (Signal.mode_at).  Its spans are the ones a fresh pass t += d
-over the segments gives (the signal's cumulative ends, summed in segment
-order), and it keeps the same inclusion rule, so every output is the same
-to the bit.
+Grid steps.  simulate and l2gain's power iteration need the zero-order-hold
+step operators (Phi_k, Gamma_k) of a whole grid k dt; _zoh_grid builds them
+in one pass.  One searchsorted over Signal.segment_ends finds the interior
+steps, whose two ends lie at least _INTERIOR_MARGIN inside one segment.  The
+other steps, about one per segment end, are clipped by a _Cursor, which
+resumes each query at the segment where the previous one stopped, so they
+cost O(segments + steps) in all.  Each distinct (mode, span) pair of the
+interior steps is composed once, and every (mode, span rounded to 15
+digits) exponential comes from one stacked expm call.
+
+The result is the same to the bit as clipping every step with the cursor
+and composing its spans.  For an interior step, s = k dt and t = s + dt in
+floating point, inside segment j (end e_j, previous end e_{j-1}, or 0):
+e_{j-1} <= s - margin and e_j >= t + margin.  The cursor skips every
+segment before j, since e_i - s <= 0 there.  It stops at j, since
+e_j - s >= t - s > 1e-14 (rounding is monotone).  It returns
+lo = max(e_{j-1}, s) = s and hi = min(e_j, t) = t, and reads no further
+segment, since e_j >= t.  So the step's only span is (t - s, mode j), the
+one its operator is composed from.  Interior and clipped steps are listed
+in step order, so each exponential is built from the first span of its key
+in step order, as a step-by-step pass with one cache builds it.  The
+cursor's spans are those a fresh pass t += d over the segments gives (the
+signal's cumulative ends, summed in segment order), with the same
+inclusion rule.  Each sample's output mode is a searchsorted over the same
+ends, as Signal.mode_at bisects them.
 
 _expm_stack is a batched exponential: Pade degree 13 with scaling and
 squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005) on a (K, N, N) stack
@@ -210,24 +227,85 @@ def gramians(sys: SystemSpec, sig: Signal, t0: float, t1: float) -> GramianPair:
     return GramianPair(wc=wc, wo=wo, horizon=t1 - t0)
 
 
-def _zoh_step(sys, cursor, t, dt, cache):
-    """Exact one-step propagator (Phi, Gamma) over [t, t+dt] for ZOH input."""
+# a step at least this far inside one segment is classified as interior; the
+# bit-identity argument holds for any margin >= 0, and a positive one sends the
+# steps that end within it of a segment end to the cursor
+_INTERIOR_MARGIN = 1e-12
+
+
+def _zoh_operators(sys, step_spans):
+    """Exact ZOH propagators (Phi, Gamma), one per list of consecutive spans (h, mode).
+
+    The exponential of each (mode, h rounded to 15 digits) key is built once,
+    from the first h in list order that meets the key; all of them come from
+    one stacked expm call, which runs the single-matrix algorithm slice by
+    slice.  Each list is composed from the identity, span after span.
+    """
     n, m = sys.n, sys.m
-    phi = np.eye(n)
-    gam = np.zeros((n, m))
-    for lo, hi, i in cursor.clip(t, t + dt):
-        h = hi - lo
-        key = (i, round(h, 15))
-        if key not in cache:
-            M = np.zeros((n + m, n + m))
-            M[:n, :n] = sys.A(i)
-            M[:n, n:] = sys.B(i)
-            E = expm(M * h)
-            cache[key] = (E[:n, :n], E[:n, n:])
-        ephi, egam = cache[key]
-        phi = ephi @ phi
-        gam = ephi @ gam + egam
-    return phi, gam
+    step_keys = [[(i, round(h, 15)) for h, i in spans] for spans in step_spans]
+    first = {}              # key -> the span length its exponential is built from
+    for spans, keys in zip(step_spans, step_keys):
+        for (h, _), key in zip(spans, keys):
+            first.setdefault(key, h)
+    AB = np.stack([np.hstack([mode.A, mode.B]) for mode in sys.modes])
+    M = np.zeros((len(first), n + m, n + m))
+    M[:, :n] = AB[[i for i, _ in first]] * np.array(list(first.values()))[:, None, None]
+    E = expm(M)
+    cache = dict(zip(first, zip(E[:, :n, :n], E[:, :n, n:])))
+    phis = np.empty((len(step_spans), n, n))
+    gams = np.empty((len(step_spans), n, m))
+    for k, keys in enumerate(step_keys):
+        phi = np.eye(n)
+        gam = np.zeros((n, m))
+        for key in keys:
+            ephi, egam = cache[key]
+            phi = ephi @ phi
+            gam = ephi @ gam + egam
+        phis[k], gams[k] = phi, gam
+    return phis, gams
+
+
+def _zoh_grid(sys, sig, steps, dt):
+    """Step operators of the grid k dt, k < steps, and the mode at each step's start.
+
+    Returns (Phi, Gamma, modes): Phi[k], Gamma[k] propagate a ZOH input over
+    [k dt, k dt + dt], and modes[k] is sig.mode_at(k dt).  An interior step
+    takes the operator of its (mode, span) pair, composed once; the other
+    steps are clipped by the cursor.  Both kinds are listed in step order
+    (module docstring, "Grid steps").
+    """
+    ends = np.asarray(sig.segment_ends)
+    seg_modes = np.array([i for i, _ in sig.segments])
+    last = len(ends) - 1
+    starts = np.arange(steps) * dt
+    stops = starts + dt
+    spans = stops - starts
+    seg = np.searchsorted(ends, starts - _INTERIOR_MARGIN, side="right")
+    interior = ((seg <= last) & (ends[np.minimum(seg, last)] >= stops + _INTERIOR_MARGIN)
+                & (spans > 1e-14))
+    inside = np.flatnonzero(interior)
+    pairs, first, pair_of = np.unique(np.stack([seg_modes[seg[inside]], spans[inside]], axis=1),
+                                      axis=0, return_index=True, return_inverse=True)
+    # (step, pair index) in step order; -1 marks a step for the cursor
+    events = sorted([(k, -1) for k in np.flatnonzero(~interior).tolist()]
+                    + [(k, g) for g, k in enumerate(inside[first].tolist())])
+    cursor = _Cursor(sig)
+    step_spans = []
+    row = np.empty(steps, dtype=int)             # each step's entry in step_spans
+    pair_row = np.empty(len(pairs), dtype=int)
+    for e, (k, g) in enumerate(events):
+        if g < 0:
+            s = k * dt
+            step_spans.append([(hi - lo, i) for lo, hi, i in cursor.clip(s, s + dt)])
+            row[k] = e
+        else:
+            mode, h = pairs[g].tolist()
+            step_spans.append([(h, int(mode))])
+            pair_row[g] = e
+    row[inside] = pair_row[pair_of]
+    phis, gams = _zoh_operators(sys, step_spans)
+    at = np.searchsorted(ends, starts, side="right")
+    return phis[row], gams[row], seg_modes[np.minimum(at, last)]
 
 
 def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
@@ -236,8 +314,9 @@ def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
     u has one row per step of size dt; the total u span must match the signal
     horizon.  Propagation is exact per step (homogeneous exponential plus the
     integrated input term), including steps that straddle a switch.  The
-    steps share one segment cursor, so clipping them costs O(steps +
-    segments).
+    step operators come from _zoh_grid, so only the steps near a segment end
+    are clipped; the result is the same to the bit as composing every step's
+    cursor spans.
     """
     sig.check_modes(sys)
     u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -245,29 +324,29 @@ def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
         u = u.T
     if u.shape[1] != sys.m:
         raise ValueError(f"input samples must have {sys.m} columns, got {u.shape[1]}")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("grid step must be positive")
     steps = u.shape[0]
     horizon = sig.horizon
     if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"grid ({steps} x {dt}) does not match horizon {horizon}")
 
+    phis, gams, modes = _zoh_grid(sys, sig, steps, dt)
+    times = np.minimum(np.arange(steps + 1) * dt, horizon)
+    modes = np.append(modes, sig.mode_at(times[-1]))
+    # a stacked matmul computes each slice with the product one step would
+    # make, and broadcasting keeps each C in its own memory layout
+    inputs = np.matmul(gams, u[:, :, None])[:, :, 0]
     x = np.asarray(x0, dtype=float).reshape(sys.n)
-    times = np.empty(steps + 1)
     states = np.empty((steps + 1, sys.n))
-    outputs = np.empty((steps + 1, sys.p))
-    cache = {}
-    cursor = _Cursor(sig)
-    times[0] = 0.0
     states[0] = x
-    outputs[0] = sys.C(sig.mode_at(0.0)) @ x
-    for k in range(steps):
-        t = k * dt
-        phi, gam = _zoh_step(sys, cursor, t, dt, cache)
-        x = phi @ x + gam @ u[k]
-        times[k + 1] = min((k + 1) * dt, horizon)
-        states[k + 1] = x
-        outputs[k + 1] = sys.C(sig.mode_at(times[k + 1])) @ x
+    for k, (phi, gu) in enumerate(zip(phis, inputs), 1):
+        x = phi @ x + gu
+        states[k] = x
+    outputs = np.empty((steps + 1, sys.p))
+    for i, mode in enumerate(sys.modes):
+        at = modes == i
+        outputs[at] = np.matmul(mode.C, states[at, :, None])[:, :, 0]
     return Trajectory(times=times, states=states, outputs=outputs)
 
 

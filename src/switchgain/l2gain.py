@@ -74,7 +74,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .core import Signal, SignalClassSpec, SystemSpec, validate_membership
-from .flows import _Cursor, _expm_stack, _gram_block, _zoh_step
+from .flows import _Cursor, _expm_stack, _gram_block, _zoh_grid
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
 from .spectral import RhoEstimate, certification_grid, class_tau, rho_lower, rho_upper
 
@@ -669,18 +669,13 @@ def gain_for_signal(
 
 
 def _step_operators(sys, sig, T, dt):
+    """(Phi, Gamma, C, steps) of the grid k dt on [0, T]: C[k] is the output map at k dt."""
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("grid step does not divide the horizon")
-    cache = {}
-    cursor = _Cursor(sig)
-    phis, gams, cs = [], [], []
-    for k in range(steps):
-        phi, gam = _zoh_step(sys, cursor, k * dt, dt, cache)
-        phis.append(phi)
-        gams.append(gam)
-        cs.append(sys.C(sig.mode_at(k * dt)))
-    cs.append(sys.C(sig.mode_at(min(steps * dt, sig.horizon - 1e-12))))
+    phis, gams, modes = _zoh_grid(sys, sig, steps, dt)
+    modes = np.append(modes, sig.mode_at(min(steps * dt, sig.horizon - 1e-12)))
+    cs = np.stack([m.C for m in sys.modes])[modes]
     return phis, gams, cs, steps
 
 

@@ -106,11 +106,15 @@ def class_tau(cls: SignalClassSpec, *, for_upper: bool = False) -> float:
 
 def certification_grid(tau, delta=None, cap=None):
     """The certifier's letter-grid step delta and duration cap at dwell floor
-    tau; a value given is kept, a missing one takes its default."""
+    tau; a value given is kept, a missing one takes its default.  Either one
+    must be positive and finite, or ValueError names it."""
     if delta is None:
         delta = tau / 20.0 if tau > 0 else 0.05
     if cap is None:
         cap = 10.0 * max(tau, 1.0)
+    for name, value in (("delta", delta), ("cap", cap)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return delta, cap
 
 
@@ -723,11 +727,11 @@ def rho_upper(
     if not eps > 0:
         raise ValueError("eps must be positive")
     tau = class_tau(cls, for_upper=True)
+    delta, cap = certification_grid(tau, delta, cap)
     if lower_estimate is None:
         lower_estimate = rho_lower(sys, cls)
     if lower_estimate.lower <= 0:
         raise ValueError("the rho lower bound must be positive")
-    delta, cap = certification_grid(tau, delta, cap)
     a_max = max(float(np.linalg.norm(m.A, 2)) for m in sys.modes)
     inflation = math.exp(a_max * delta)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from switchgain import Mode, Signal, SystemSpec, gramians, l2gain, simulate, transition, trajectory_to_csv
+from switchgain import Mode, Signal, SystemSpec, flows, gramians, l2gain, simulate, transition, trajectory_to_csv
 from switchgain.core import concat_signals
 from switchgain.flows import _Cursor, _expm_stack
 from switchgain.gallery import alpha_star, example_system, rotated_nodes_pair
@@ -197,6 +197,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="horizon"):
             simulate(sysm, sig, np.zeros((55, 1)), np.zeros(1), 0.01)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_bad_grid_step_rejected(self, dt):
+        # a NaN step passed both checks and returned NaN times
+        sysm = make_system([np.array([[-1.0]])])
+        with pytest.raises(ValueError, match="grid step"):
+            simulate(sysm, Signal(((0, 0.05),)), np.zeros((5, 1)), np.zeros(1), dt)
+
     def test_csv_export(self):
         sysm = make_system([np.array([[-1.0]])])
         sig = Signal(((0, 0.1),))
@@ -269,6 +276,115 @@ class TestCursorParity:
         H = sig.horizon
         for s, t in ((0.7 * H, 0.9 * H), (0.1, 0.4), (0.0, H), (0.5, 0.5)):
             assert cursor.clip(s, t) == clip_spans(sig, s, t)
+
+
+def grid_aligned_signal(dt, offset, n_modes=3):
+    """A signal whose segment ends lie at offset from grid points k dt.
+
+    Each duration is nudged by ulps until the running sum, formed as
+    Signal.segment_ends forms it, lands on the float nearest k dt + offset.
+    """
+    grid_ends = np.cumsum([3, 5, 1, 7, 4, 2, 6])
+    segments, end = [], 0.0
+    for j, k in enumerate(grid_ends):
+        target = k * dt + offset
+        d = target - end
+        while end + d < target:
+            d = np.nextafter(d, math.inf)
+        while end + d > target:
+            d = np.nextafter(d, -math.inf)
+        segments.append((j % n_modes, float(d)))
+        end += d
+    sig = Signal(tuple(segments))
+    assert sig.segment_ends == tuple(k * dt + offset for k in grid_ends)
+    return sig, int(grid_ends[-1])
+
+
+def assert_grid_parity(sysm, sig, u, x0, dt):
+    new, ref = simulate(sysm, sig, u, x0, dt), reference_simulate(sysm, sig, u, x0, dt)
+    for field in ("times", "states", "outputs"):
+        np.testing.assert_array_equal(getattr(new, field), getattr(ref, field))
+    for T in (sig.horizon, 10 * dt):
+        new, ref = l2gain._step_operators(sysm, sig, T, dt), reference_step_operators(sysm, sig, T, dt)
+        assert new[3] == ref[3]
+        for a, b in zip(new[:3], ref[:3]):
+            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+
+
+GRID_OFFSETS = [0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-11, -1e-11]
+
+
+class TestGridAlignedParity:
+    """Segment ends on grid points, or just beside them, keep the bits of per-step clipping.
+
+    Offsets of 1e-15 and 1e-13 fall inside the interior margin (1e-12), so
+    the steps around those ends go through the cursor; at 1e-11 the steps on
+    either side are interior and each one's span is the whole step.
+    """
+
+    @pytest.mark.parametrize("offset", GRID_OFFSETS)
+    @pytest.mark.parametrize("m, p", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_parity(self, m, p, offset):
+        rng = np.random.default_rng(12)
+        mats = [rng.standard_normal((3, 3)) - np.eye(3) for _ in range(3)]
+        sysm = make_system(mats, m=m, p=p, B=[rng.standard_normal((3, m)) for _ in range(3)],
+                           C=[rng.standard_normal((p, 3)) for _ in range(3)])
+        dt = 0.037
+        sig, steps = grid_aligned_signal(dt, offset)
+        assert_grid_parity(sysm, sig, rng.standard_normal((steps, m)), rng.standard_normal(3), dt)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13])
+    def test_strided_layouts(self, offset):
+        # Fortran-ordered output maps and a strided input, as a caller may pass them
+        rng = np.random.default_rng(13)
+        mats = [rng.standard_normal((3, 3)) - np.eye(3) for _ in range(3)]
+        sysm = make_system(mats, m=2, p=2, B=[rng.standard_normal((3, 2)) for _ in range(3)],
+                           C=[np.asfortranarray(rng.standard_normal((2, 3))) for _ in range(3)])
+        assert not sysm.C(0).flags.c_contiguous
+        dt = 0.037
+        sig, steps = grid_aligned_signal(dt, offset)
+        u = rng.standard_normal((2, 2 * steps))[:, ::2].T
+        assert_grid_parity(sysm, sig, u, rng.standard_normal(3), dt)
+
+
+class TestGridCost:
+    """Counted cost of one grid on 200 alternating nodes segments, 8 steps per segment.
+
+    Per-step clipping sent all 1,600 steps through the cursor, and built one
+    exponential per call; the grid builder clips only the steps near a
+    segment end and builds every distinct (mode, rounded span) key in one
+    stacked call.
+    """
+
+    @pytest.mark.parametrize("run", [
+        lambda sysm, sig, dt: simulate(sysm, sig, np.ones((int(round(sig.horizon / dt)), 1)),
+                                       np.ones(2), dt),
+        lambda sysm, sig, dt: l2gain._step_operators(sysm, sig, sig.horizon, dt),
+    ], ids=["simulate", "step_operators"])
+    def test_counts(self, run, monkeypatch):
+        segments = 200
+        sysm = rotated_nodes_pair(-1.0, -4.0, 1.5)
+        sig = alternating_nodes_signal(segments)
+        dt = sig.horizon / (8 * segments)
+        keys = {(i, round(hi - lo, 15))
+                for k in range(8 * segments) for lo, hi, i in clip_spans(sig, k * dt, k * dt + dt)}
+        clips, exps = [], []
+        clip, library_expm = flows._Cursor.clip, flows.expm
+
+        def counting_clip(cursor, s, t):
+            clips.append(s)
+            return clip(cursor, s, t)
+
+        def counting_expm(M):
+            exps.append(len(M) if np.ndim(M) == 3 else 1)
+            return library_expm(M)
+
+        monkeypatch.setattr(flows._Cursor, "clip", counting_clip)
+        monkeypatch.setattr(flows, "expm", counting_expm)
+        run(sysm, sig, dt)
+        assert len(clips) <= 2 * segments
+        assert len(exps) <= 1
+        assert sum(exps) <= len(keys)
 
 
 class _CountingSegments(tuple):

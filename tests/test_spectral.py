@@ -188,6 +188,30 @@ class TestRhoUpper:
             rho_upper(rotated_nodes_pair(), ARB, eps=eps)
 
 
+# certifier grid options that rho_upper and extremal_norm refuse, each by its name
+BAD_GRID_OPTIONS = [("delta", 0.0), ("delta", -0.01), ("delta", math.nan), ("delta", math.inf),
+                    ("cap", 0.0), ("cap", -1.0), ("cap", math.nan), ("cap", math.inf)]
+
+
+class TestGridOptions:
+    """A non-positive or non-finite delta or cap raises ValueError naming it.
+
+    Unchecked, delta = 0 divided by zero, delta < 0 failed later as invalid
+    estimate bounds, a non-finite delta failed inside numpy, and cap < 0
+    returned a stabilized estimate.
+    """
+
+    @pytest.mark.parametrize("option, value", BAD_GRID_OPTIONS)
+    def test_rho_upper(self, option, value):
+        with pytest.raises(ValueError, match=f"^{option} must be positive and finite"):
+            rho_upper(rotated_nodes_pair(), SignalClassSpec.dwell(1.0), **{option: value})
+
+    @pytest.mark.parametrize("option, value", BAD_GRID_OPTIONS)
+    def test_extremal_norm(self, option, value):
+        with pytest.raises(ValueError, match=f"^{option} must be positive and finite"):
+            extremal_norm(rotated_nodes_pair(), SignalClassSpec.dwell(1.0), 1.0, **{option: value})
+
+
 class TestExtremalNorm:
     def test_scalar_equality(self):
         sysm = autonomous([np.array([[-1.0]])])
