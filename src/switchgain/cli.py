@@ -45,7 +45,7 @@ def build_parser():
     sp.add_argument("--max-letters", type=int, default=4)
     sp.add_argument("--grid-step", type=float, default=None, help="certification grid step delta")
     sp.add_argument("--horizon", type=float, default=None, help="certification duration cap")
-    sp.add_argument("--budget", type=int, default=600)
+    sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--with-upper", action="store_true",
                     help="certify upper bounds along a tau grid (slower)")
 
@@ -70,14 +70,14 @@ def build_parser():
     sp.add_argument("--tau-hi", type=float, required=True)
     sp.add_argument("--tol", type=float, default=0.05)
     sp.add_argument("--grid-step", type=float, default=None)
-    sp.add_argument("--budget", type=int, default=600)
+    sp.add_argument("--budget", type=int, default=None)
 
     sp = sub.add_parser("finiteness", help="gain-finiteness verdict (exit 2 if undetermined)")
     common(sp)
     sp.add_argument("--class", dest="cls", default="arb", choices=["arb", "dwell"])
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--grid-step", type=float, default=None)
-    sp.add_argument("--budget", type=int, default=600)
+    sp.add_argument("--budget", type=int, default=None)
 
     sp = sub.add_parser("gallery", help="worked example: alpha*, emission, dissipation check")
     common(sp, system=False)

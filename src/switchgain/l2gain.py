@@ -10,7 +10,9 @@ oracle and witness inputs.
 
 The Riccati test needs no ODE solver.  Its answer depends only on the
 input-output map, so it runs on the minimal realization (dimension 0: every
-gamma passes).  In backward time, on a segment with constant mode, P = Y X^-1
+gamma passes), which _kernel builds once per system and horizon and keeps
+for the last pair: a gain_search shares it with its gain_for_signal calls.
+In backward time, on a segment with constant mode, P = Y X^-1
 where [X; Y]' = H [X; Y], H = [[-A, -gamma^-2 BB'], [C'C, A']], X(0) = I,
 Y(0) = P0; so [X; Y](h) = expm(H h) [I; P0] is exact, and the solution
 exists on [0, h] exactly when X stays invertible there (at a singular X(s),
@@ -61,7 +63,7 @@ returned value is the same.
 
 from __future__ import annotations
 
-import contextvars
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -204,15 +206,13 @@ def _balancing_transform(ms, horizon):
 class _RiccatiKernel:
     """Riccati escape-time test on the minimal realization of one system.
 
-    Built once per gain_for_signal call (once per gain_search, which shares
-    it): the reduction, the bases for the substep bound (the minimal one and,
-    when it exists, the balanced one for the horizon), and per mode A, BB',
-    A', C'C and |B|^2 in each basis, stacked over the modes.
+    What the test needs of a system and a horizon, built by _kernel: the
+    reduction, the bases for the substep bound (the minimal one and, when it
+    exists, the balanced one for the horizon), and per mode A, BB', A', C'C
+    and |B|^2 in each basis, stacked over the modes.
     """
 
     def __init__(self, sys, horizon):
-        self.sys = sys
-        self.horizon = horizon
         ms = minimal_realization(sys).sys_min
         self.n = 0 if ms is None else ms.n
         if ms is None:
@@ -276,15 +276,11 @@ class _RiccatiKernel:
         return np.fromiter(times, float, len(q) * nb).reshape(len(q), nb).max(axis=1, initial=0.0)
 
 
-# the kernel a running gain_search shares with the gain_for_signal calls it makes
-_SEARCH_KERNEL = contextvars.ContextVar("switchgain_search_kernel", default=None)
-
-
-def _kernel(sys, T):
-    kern = _SEARCH_KERNEL.get()
-    if kern is None or kern.sys is not sys or kern.horizon != T:
-        kern = _RiccatiKernel(sys, T)
-    return kern
+@functools.lru_cache(maxsize=1)
+def _kernel(sys, horizon):
+    """The _RiccatiKernel of sys on [0, horizon], kept for the last pair; it
+    cannot go stale, as a SystemSpec hashes by identity and is read-only."""
+    return _RiccatiKernel(sys, horizon)
 
 
 def _escapes(E, P):
@@ -596,13 +592,14 @@ def gain_for_signal(
 ) -> GainEstimate:
     """Finite-horizon L2-gain of one signal via Riccati bisection.
 
-    Bisection tolerance is relative: |hi - lo| < tol * max(hi, 1).  With
-    compute_witness, a power iteration on the grid of step T / 400 attaches
-    a witness input and its energy ratio.
+    Bisection tolerance is relative: |hi - lo| < tol * max(hi, 1), with a
+    finite tol > 0 and T in (0, sig.horizon].  With compute_witness, a power
+    iteration on the grid of step T / 400 attaches a witness input and its
+    energy ratio.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if T <= 0 or T > sig.horizon * (1 + 1e-9):
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not 0 < T <= sig.horizon * (1 + 1e-9):
         raise ValueError(f"horizon T={T} outside the signal horizon {sig.horizon}")
     sig.check_modes(sys)
     rev = _reversed_segments(sig, T)
@@ -695,29 +692,33 @@ def _step_matrix(phis, n):
     return csc_matrix((vals, (rows, cols)), shape=(size, size))
 
 
+# power iterations at most, and the relative change of the ratio that ends them
+_POWER_ITERS, _POWER_RTOL = 80, 1e-10
+
+
 def gain_power_lower(
     sys: SystemSpec,
     sig: Signal,
     T: float,
     grid_step: float,
     *,
-    iters: int = 80,
-    rtol: float = 1e-10,
     seed: int = 0,
 ) -> GainEstimate:
     """Power iteration on L*L for the discrete input-to-output map L.
 
-    Inputs are zero-order-hold samples; output energy uses the trapezoid rule
-    on the grid.  Any iterate's Rayleigh ratio |Lu|/|u| is a valid lower
-    bound of the discretized gain, so the best ratio seen is returned.
+    Inputs are zero-order-hold samples on the grid of step grid_step (T and
+    grid_step positive and finite); output energy uses the trapezoid rule on
+    the grid.  Any iterate's Rayleigh ratio |Lu|/|u| is a valid lower bound
+    of the discretized gain, so the best ratio seen is returned.
 
     The states x_1..x_steps solve one lower block-bidiagonal system (identity
     blocks on the diagonal, -Phi_k below), factored once with the diagonal as
     pivots; each iteration is one forward and one transposed triangular solve
     plus the block-diagonal products with Gamma_k and C_k.
     """
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
+    for name, value in (("T", T), ("grid_step", grid_step)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     sig.check_modes(sys)
     phis, gams, cs, steps = _step_operators(sys, sig, T, grid_step)
     n, m, p = sys.n, sys.m, sys.p
@@ -748,7 +749,7 @@ def gain_power_lower(
     best = 0.0
     prev = None
     best_u = u.copy()
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         y = forward(u)
         num = math.sqrt(float(np.sum(w * y * y)))
         den = math.sqrt(grid_step * float(np.sum(u * u)))
@@ -756,7 +757,7 @@ def gain_power_lower(
         if ratio > best:
             best = ratio
             best_u = u.copy()
-        if prev is not None and abs(ratio - prev) <= rtol * max(ratio, 1e-30):
+        if prev is not None and abs(ratio - prev) <= _POWER_RTOL * max(ratio, 1e-30):
             break
         prev = ratio
         nxt = adjoint(y)
@@ -764,7 +765,7 @@ def gain_power_lower(
         if norm == 0:
             break
         u = nxt / norm
-    return GainEstimate(best, T, "power_iteration", rtol, witness_signal=sig,
+    return GainEstimate(best, T, "power_iteration", _POWER_RTOL, witness_signal=sig,
                         witness_input_energy_ratio=best, witness_input=best_u,
                         input_dt=grid_step)
 
@@ -811,6 +812,8 @@ def gain_search(
     dwell floors evaluate supersets (monotonicity under nested budgets); the
     best signal's switch times are then locally refined when refine is set.
     """
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"T must be positive and finite, got {T!r}")
     tau = class_tau(cls)
     if duration_grid is None:
         duration_grid = tuple(T * f for f in (0.125, 0.25, 0.5, 0.75))
@@ -819,7 +822,7 @@ def gain_search(
         raise ValueError(f"gain search supports arbitrary/dwell classes, not {cls.kind!r}")
 
     # one reduction and balancing for every candidate, shared with gain_for_signal
-    kern = _RiccatiKernel(sys, T)
+    kern = _kernel(sys, T)
     best = None
     best_sig = None
 
@@ -833,43 +836,39 @@ def gain_search(
             return None
         return gain_for_signal(sys, sig, T, tol, gamma_hi=best or 1.0).value
 
-    token = _SEARCH_KERNEL.set(kern)
-    try:
-        seen = 0
-        for sig in _candidate_signals(sys.n_modes, T, max_switches, duration_grid):
-            seen += 1
-            if seen > eval_budget:
-                break
-            value = evaluate(sig)
-            if value is not None and (best is None or value > best):
-                best = value
-                best_sig = sig
-        if best is None:
-            raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
+    seen = 0
+    for sig in _candidate_signals(sys.n_modes, T, max_switches, duration_grid):
+        seen += 1
+        if seen > eval_budget:
+            break
+        value = evaluate(sig)
+        if value is not None and (best is None or value > best):
+            best = value
+            best_sig = sig
+    if best is None:
+        raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
 
-        if refine and len(best_sig.segments) > 1:
-            segs = list(best_sig.segments)
-            switch_times = np.cumsum([d for _, d in segs])[:-1]
-            for _ in range(2):
-                for j in range(len(switch_times)):
-                    lo_lim = (switch_times[j - 1] if j else 0.0) + max(tau, 1e-6)
-                    nxt = switch_times[j + 1] if j + 1 < len(switch_times) else T
-                    hi_lim = nxt - max(tau, 1e-6)
-                    if hi_lim <= lo_lim:
-                        continue
+    if refine and len(best_sig.segments) > 1:
+        segs = list(best_sig.segments)
+        switch_times = np.cumsum([d for _, d in segs])[:-1]
+        for _ in range(2):
+            for j in range(len(switch_times)):
+                lo_lim = (switch_times[j - 1] if j else 0.0) + max(tau, 1e-6)
+                nxt = switch_times[j + 1] if j + 1 < len(switch_times) else T
+                hi_lim = nxt - max(tau, 1e-6)
+                if hi_lim <= lo_lim:
+                    continue
 
-                    for t_j in np.linspace(lo_lim, hi_lim, 5):
-                        ts = switch_times.copy()
-                        ts[j] = t_j
-                        bounds = np.concatenate([[0.0], ts, [T]])
-                        sig2 = Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
-                                            for i in range(len(segs))))
-                        v = evaluate(sig2)
-                        if v is not None and v > best:
-                            best, best_sig = v, sig2
-                            switch_times[j] = t_j
-    finally:
-        _SEARCH_KERNEL.reset(token)
+                for t_j in np.linspace(lo_lim, hi_lim, 5):
+                    ts = switch_times.copy()
+                    ts[j] = t_j
+                    bounds = np.concatenate([[0.0], ts, [T]])
+                    sig2 = Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
+                                        for i in range(len(segs))))
+                    v = evaluate(sig2)
+                    if v is not None and v > best:
+                        best, best_sig = v, sig2
+                        switch_times[j] = t_j
     return GainEstimate(best, T, "search", tol, witness_signal=best_sig)
 
 
@@ -954,10 +953,11 @@ def tau_min(
     Each tau is classified from rho_lower at its defaults and rho_upper with
     upper_opts.  Requires rho(tau_lo) >= 1 (reject side) and a certified
     rho(tau_hi) < 1 (accept side).  An undecided tau is retried once with
-    half the grid step delta and twice the budget; undecided midpoints then
-    fall back to quarter-point probing, and a persistent undecided zone
-    returns the wider interval with an 'undecided_zone' flag.  The bisection
-    stops at width tol or after 60 steps.
+    half the grid step delta and twice the budget (those of upper_opts, or
+    certification_grid's defaults); undecided midpoints then fall back to
+    quarter-point probing, and a persistent undecided zone returns the wider
+    interval with an 'undecided_zone' flag.  The bisection stops at width
+    tol or after 60 steps.
     """
     tau_lo, tau_hi = float(bracket[0]), float(bracket[1])
     if not (0 <= tau_lo < tau_hi):
@@ -976,11 +976,11 @@ def tau_min(
         if verdict == "undecided":
             # halve the grid step (shrinks the inflation dead band) and
             # double the certification budget
-            merged = dict(upper_opts or {})
-            base_delta = merged.get("delta") or certification_grid(tau)[0]
-            merged["delta"] = base_delta / 2.0
-            merged["budget"] = 2 * merged.get("budget", 600)
-            verdict = _classify_tau(ms, cls, lower_est, merged)
+            opts = upper_opts or {}
+            delta, _, budget = certification_grid(tau, opts.get("delta"),
+                                                  budget=opts.get("budget"))
+            verdict = _classify_tau(ms, cls, lower_est,
+                                    {**opts, "delta": delta / 2.0, "budget": 2 * budget})
         return verdict
 
     lo_verdict = classify(tau_lo)

@@ -104,18 +104,24 @@ def class_tau(cls: SignalClassSpec, *, for_upper: bool = False) -> float:
     raise ValueError(f"class kind {cls.kind!r} is not supported by the spectral machinery")
 
 
-def certification_grid(tau, delta=None, cap=None):
-    """The certifier's letter-grid step delta and duration cap at dwell floor
-    tau; a value given is kept, a missing one takes its default.  Either one
-    must be positive and finite, or ValueError names it."""
+# stored generators after which the certifier gives up ('budget_exhausted')
+_BUDGET = 600
+
+
+def certification_grid(tau, delta=None, cap=None, budget=None):
+    """The certifier's letter-grid step delta, duration cap and generator
+    budget at dwell floor tau; a value given is kept, a missing one takes its
+    default.  Each must be positive and finite, or ValueError names it."""
     if delta is None:
         delta = tau / 20.0 if tau > 0 else 0.05
     if cap is None:
         cap = 10.0 * max(tau, 1.0)
-    for name, value in (("delta", delta), ("cap", cap)):
+    if budget is None:
+        budget = _BUDGET
+    for name, value in (("delta", delta), ("cap", cap), ("budget", budget)):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return delta, cap
+    return delta, cap, budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -664,12 +670,11 @@ def _mode_kappa(A):
 
 
 def _certify_at(sys, tau, mu_c, delta, cap, budget, witness):
-    """One certification attempt; returns (certifier, stabilized, flags)."""
+    """One certification attempt; returns (certifier, stabilized), the flags in certifier.flags."""
     modes_A = [m.A for m in sys.modes]
     cert = _Certifier(modes_A, tau, mu_c, delta, cap, budget)
     cert.seed(sys, witness)
     stabilized = cert.run()
-    flags = set(cert.flags)
     if stabilized:
         # long-dwell closure: extend the tested grid until the per-mode
         # eigen-envelope kappa e^{alpha t} falls below mu_c^t in the v-norm
@@ -679,10 +684,10 @@ def _certify_at(sys, tau, mu_c, delta, cap, budget, witness):
             for k, A in enumerate(modes_A):
                 alpha = _spectral_abscissa(A)
                 if alpha >= cert.log_mu - 1e-12:
-                    flags.add("long_dwell_heuristic")
+                    cert.flags.add("long_dwell_heuristic")
                     continue
                 kappa, kf = _mode_kappa(A)
-                flags.update(kf)
+                cert.flags.update(kf)
                 t_star = math.log(max(vmax * kappa, 1.0)) / (cert.log_mu - alpha)
                 if t_star > cert.caps[k] + 1e-9:
                     need.append((k, t_star))
@@ -692,11 +697,10 @@ def _certify_at(sys, tau, mu_c, delta, cap, budget, witness):
                 cert.caps[k] = t_star + cert.delta
             stabilized = cert.run()
             if not stabilized:
-                flags.add("budget_exhausted")
                 break
         else:
-            flags.add("long_dwell_heuristic")
-    return cert, stabilized, flags
+            cert.flags.add("long_dwell_heuristic")
+    return cert, stabilized
 
 
 # certification attempts of rho_upper, each after the first at twice the
@@ -712,22 +716,22 @@ def rho_upper(
     eps: float = 0.005,
     delta: float | None = None,
     cap: float | None = None,
-    budget: int = 600,
+    budget: int | None = None,
 ) -> RhoEstimate:
     """Certified-up-to-grid-inflation upper bound on the spectral radius.
 
-    The candidate rate is the lower bound of lower_estimate (default: a
-    rho_lower search at its defaults) inflated by eps > 0; certification
-    failures retry with doubled eps, _EPS_ATTEMPTS attempts in all.  The
-    reported upper bound is mu_c * exp(a_max * delta) where a_max is the
-    largest mode norm, so it is never below the lower bound; a
-    'budget_exhausted' or 'long_dwell_heuristic' flag marks the bound as
-    best-effort rather than certified.
+    An attempt certifies the rate mu_c = lower (1 + eps), lower from
+    lower_estimate (default: a rho_lower search at its defaults), and
+    reports mu_c * exp(a_max * delta), a_max the largest mode norm.  The
+    first attempt whose estimate is certified (RhoEstimate.certified) is
+    returned, eps doubling from one attempt to the next, _EPS_ATTEMPTS in
+    all; if none is, the first, tightest one and the flags that say why.
+    delta, cap and budget default as certification_grid says.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     tau = class_tau(cls, for_upper=True)
-    delta, cap = certification_grid(tau, delta, cap)
+    delta, cap, budget = certification_grid(tau, delta, cap, budget)
     if lower_estimate is None:
         lower_estimate = rho_lower(sys, cls)
     if lower_estimate.lower <= 0:
@@ -735,30 +739,20 @@ def rho_upper(
     a_max = max(float(np.linalg.norm(m.A, 2)) for m in sys.modes)
     inflation = math.exp(a_max * delta)
 
+    first = None
     attempt_eps = eps
-    result = None
     for _ in range(_EPS_ATTEMPTS):
         mu_c = lower_estimate.lower * (1.0 + attempt_eps)
-        cert, stabilized, flags = _certify_at(sys, tau, mu_c, delta, cap, budget, lower_estimate.witness)
-        if stabilized and "budget_exhausted" not in flags:
-            result = (mu_c, stabilized, flags, attempt_eps)
-            break
-        if result is None:
-            # keep the tightest attempt as the flagged best-effort bound
-            result = (mu_c, stabilized, flags, attempt_eps)
+        cert, stabilized = _certify_at(sys, tau, mu_c, delta, cap, budget, lower_estimate.witness)
+        flags = {"stabilized" if stabilized else "not_stabilized", f"eps={attempt_eps:g}"}
+        est = replace(lower_estimate, upper=mu_c * inflation, inflation=inflation,
+                      flags=tuple(sorted(cert.flags | flags)))
+        if est.certified:
+            return est
+        if first is None:
+            first = est
         attempt_eps *= 2.0
-    mu_c, stabilized, flags, used_eps = result
-    out_flags = set(flags)
-    out_flags.add("stabilized" if stabilized else "not_stabilized")
-    out_flags.add(f"eps={used_eps:g}")
-    return RhoEstimate(
-        tau=lower_estimate.tau,
-        lower=lower_estimate.lower,
-        upper=mu_c * inflation,
-        witness=lower_estimate.witness,
-        inflation=inflation,
-        flags=tuple(sorted(out_flags)),
-    )
+    return first
 
 
 def rho_estimate(sys, cls, *, search_opts=None, upper_opts=None) -> RhoEstimate:
@@ -774,21 +768,22 @@ def extremal_norm(
     *,
     delta: float | None = None,
     cap: float | None = None,
-    budget: int = 600,
+    budget: int | None = None,
     witness: Signal | None = None,
 ) -> PolytopeNorm:
-    """Approximate extremal norm at rate mu_hat from the stabilized iteration."""
+    """Approximate extremal norm at rate mu_hat from the stabilized iteration;
+    delta, cap and budget default as certification_grid says."""
     if mu_hat <= 0:
         raise ValueError("mu_hat must be positive")
     tau = class_tau(cls, for_upper=True)
-    delta, cap = certification_grid(tau, delta, cap)
-    cert, stabilized, flags = _certify_at(sys, tau, mu_hat, delta, cap, budget, witness)
+    delta, cap, budget = certification_grid(tau, delta, cap, budget)
+    cert, stabilized = _certify_at(sys, tau, mu_hat, delta, cap, budget, witness)
     return PolytopeNorm(
         scaled=np.stack(cert.stored),
         times=np.array(cert.times),
         mu=mu_hat,
-        stabilized=stabilized and "budget_exhausted" not in flags,
-        flags=tuple(sorted(flags)),
+        stabilized=stabilized,
+        flags=tuple(sorted(cert.flags)),
     )
 
 

@@ -72,6 +72,16 @@ class TestGain:
         assert 0.9 <= doc["value"] <= 1.0
         assert doc["method"] == "rde_bisection"
 
+    @pytest.mark.parametrize("flags", [["--T", "nan"], ["--T", "10", "--tol", "nan"]])
+    def test_signal_gain_rejects_nan(self, scalar_system_file, tmp_path, flags, capsys):
+        # unchecked, --T nan printed a gain of 0.0 and --tol nan a bisection midpoint
+        sig = tmp_path / "sig.json"
+        sig.write_text(serialize_signal(Signal(((0, 10.0),))))
+        assert main(["gain", "--system", scalar_system_file, "--signal", str(sig)] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_search_gain(self, scalar_system_file, tmp_path):
         out = tmp_path / "gain.json"
         code = main(["gain", "--system", scalar_system_file, "--class", "arb",

@@ -112,6 +112,18 @@ class TestGainForSignal:
         with pytest.raises(ValueError, match="tol"):
             gain_for_signal(sysm, Signal(((0, 1.0),)), 1.0, tol=0.0)
 
+    # unchecked, T = NaN gave 0.0 and a NaN or infinite tol the first
+    # bisection midpoint, 0.125 on the nodes pair
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_bad_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="horizon"):
+            gain_for_signal(rotated_nodes_pair(), Signal(((0, 0.5), (1, 0.5))), T)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-4])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            gain_for_signal(rotated_nodes_pair(), Signal(((0, 0.5), (1, 0.5))), 1.0, tol)
+
     def test_switched_signal_gain(self):
         sysm = SystemSpec(1, 1, 1, (
             Mode(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]])),
@@ -308,6 +320,18 @@ class TestPowerLower:
         assert est.witness_input is not None
         assert est.witness_input_energy_ratio == pytest.approx(est.value)
 
+    # unchecked, T = 0 and grid_step = inf returned 0.0, and the others died
+    # inside numpy or on a NaN-to-integer conversion
+    @pytest.mark.parametrize("T, grid_step, name", [
+        (0.0, 0.1, "T"), (-0.3, 0.1, "T"), (math.nan, 0.1, "T"), (math.inf, 0.1, "T"),
+        (0.5, 0.0, "grid_step"), (0.5, -0.1, "grid_step"), (0.5, math.nan, "grid_step"),
+        (0.5, math.inf, "grid_step"),
+    ])
+    def test_bad_horizon_or_step_rejected(self, T, grid_step, name):
+        sig = Signal(((0, 0.3), (1, 0.2)))
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            gain_power_lower(rotated_nodes_pair(), sig, T, grid_step)
+
 
 def random_switched(seed, n, m, p, n_modes=2):
     """Modes with random (not necessarily stable) A, B, C of the given sizes."""
@@ -485,6 +509,27 @@ class TestGainSearch:
         gain_search(rotated_nodes_pair(-1.0, -4.0, 1.5), ARB, 1.0, max_switches=1,
                     eval_budget=6)
         assert len(calls) == 1
+
+    def test_gain_for_signal_reuses_the_search_kernel(self, monkeypatch):
+        sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), Signal(((0, 0.3), (1, 0.7)))
+        gain_search(sysm, ARB, 1.0, max_switches=1, eval_budget=6)
+        calls = []
+        reduce = l2gain.minimal_realization
+        monkeypatch.setattr(l2gain, "minimal_realization", lambda s: calls.append(s) or reduce(s))
+        cached = gain_for_signal(sysm, sig, 1.0).value
+        assert calls == []
+        l2gain._kernel.cache_clear()
+        assert gain_for_signal(sysm, sig, 1.0).value == cached
+        # another horizon needs its own balancing
+        gain_for_signal(sysm, sig, 0.8)
+        assert calls == [sysm, sysm]
+
+    @pytest.mark.parametrize("T, tol", [(math.nan, 1e-4), (math.inf, 1e-4), (0.0, 1e-4),
+                                        (1.0, math.nan), (1.0, math.inf)])
+    def test_bad_horizon_or_tol_rejected(self, T, tol):
+        # unchecked, tol = NaN returned 0.125 and T = inf died in the balancing
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            gain_search(rotated_nodes_pair(), ARB, T, max_switches=1, eval_budget=6, tol=tol)
 
     def test_unsupported_class(self):
         sysm = single_mode([[-1.0]], [[1.0]], [[1.0]])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,17 +189,56 @@ class TestRhoUpper:
             rho_upper(rotated_nodes_pair(), ARB, eps=eps)
 
 
+class TestRetryRule:
+    """rho_upper returns the first attempt whose estimate is certified, or else the first attempt."""
+
+    @staticmethod
+    def stub_attempts(monkeypatch, flags_of):
+        """Replace the certifier: attempt k is stabilized with flags_of(k); returns the rates tried."""
+        rates = []
+
+        def certify_at(sys, tau, mu_c, delta, cap, budget, witness):
+            rates.append(mu_c)
+            return SimpleNamespace(flags=set(flags_of(len(rates)))), True
+
+        monkeypatch.setattr(spectral, "_certify_at", certify_at)
+        return rates
+
+    def test_long_dwell_heuristic_is_retried(self, monkeypatch):
+        sysm, cls = rotated_nodes_pair(), SignalClassSpec.dwell(1.0)
+        lower = rho_lower(sysm, cls)
+        rates = self.stub_attempts(monkeypatch,
+                                   lambda k: ("long_dwell_heuristic",) if k == 1 else ())
+        est = rho_upper(sysm, cls, lower_estimate=lower)
+        assert est.certified
+        assert est.flags == ("eps=0.01", "stabilized")
+        assert rates == [lower.lower * 1.005, lower.lower * 1.01]
+        assert est.upper == rates[1] * est.inflation
+
+    def test_first_attempt_when_none_certifies(self, monkeypatch):
+        sysm, cls = rotated_nodes_pair(), SignalClassSpec.dwell(1.0)
+        lower = rho_lower(sysm, cls)
+        rates = self.stub_attempts(monkeypatch, lambda k: ("long_dwell_heuristic",))
+        est = rho_upper(sysm, cls, lower_estimate=lower)
+        assert not est.certified
+        assert est.flags == ("eps=0.005", "long_dwell_heuristic", "stabilized")
+        assert len(rates) == spectral._EPS_ATTEMPTS
+        assert est.upper == rates[0] * est.inflation
+
+
 # certifier grid options that rho_upper and extremal_norm refuse, each by its name
 BAD_GRID_OPTIONS = [("delta", 0.0), ("delta", -0.01), ("delta", math.nan), ("delta", math.inf),
-                    ("cap", 0.0), ("cap", -1.0), ("cap", math.nan), ("cap", math.inf)]
+                    ("cap", 0.0), ("cap", -1.0), ("cap", math.nan), ("cap", math.inf),
+                    ("budget", 0), ("budget", -1), ("budget", math.nan), ("budget", math.inf)]
 
 
 class TestGridOptions:
-    """A non-positive or non-finite delta or cap raises ValueError naming it.
+    """A non-positive or non-finite delta, cap or budget raises ValueError naming it.
 
     Unchecked, delta = 0 divided by zero, delta < 0 failed later as invalid
-    estimate bounds, a non-finite delta failed inside numpy, and cap < 0
-    returned a stabilized estimate.
+    estimate bounds, a non-finite delta failed inside numpy, cap < 0
+    returned a stabilized estimate, and a NaN or infinite budget never ran
+    out.
     """
 
     @pytest.mark.parametrize("option, value", BAD_GRID_OPTIONS)
