@@ -158,9 +158,8 @@ def _run_rho(args):
         lines = ["tau,lower_raw,lower_envelope,upper"]
         for t, raw, env, est in zip(curve.taus, curve.lower_raw,
                                     curve.lower_envelope, curve.estimates):
-            up = est.upper if math.isfinite(est.upper) else ""
-            lines.append(f"{t!r},{raw!r},{env!r},{up!r}" if up != "" else
-                         f"{t!r},{raw!r},{env!r},")
+            up = repr(est.upper) if math.isfinite(est.upper) else ""
+            lines.append(f"{t!r},{raw!r},{env!r},{up}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     if args.tau is None:
@@ -183,7 +182,9 @@ def _run_gain(args):
         _emit(_json(doc), args.out)
         return 0
     kwargs = {"max_switches": args.max_switches, "tol": args.tol}
-    if args.grid_step:
+    if args.grid_step is not None:
+        if not 0 < args.grid_step < math.inf:
+            raise ValueError("--grid-step must be positive and finite")
         kwargs["duration_grid"] = tuple(args.grid_step * k for k in (1, 2, 3, 4, 6, 8)
                                         if args.grid_step * k < args.T)
     if args.tau_grid:

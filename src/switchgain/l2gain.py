@@ -11,7 +11,8 @@ oracle and witness inputs.
 The Riccati test needs no ODE solver.  Its answer depends only on the
 input-output map, so it runs on the minimal realization (dimension 0: every
 gamma passes), which _kernel builds once per system and horizon and keeps
-for the last pair: a gain_search shares it with its gain_for_signal calls.
+for the last pair: a gain_search shares it with its candidates and with
+gain_for_signal calls after it.
 In backward time, on a segment with constant mode, P = Y X^-1
 where [X; Y]' = H [X; Y], H = [[-A, -gamma^-2 BB'], [C'C, A']], X(0) = I,
 Y(0) = P0; so [X; Y](h) = expm(H h) [I; P0] is exact, and the solution
@@ -44,8 +45,10 @@ exact flow over the rest of a segment proves that X turned singular, that
 is, an escape, before t.  It is trusted only when X(t) is far enough from
 singular that rounding cannot flip the sign.
 
-Two schedules apply this rule.  _riccati_feasible tests one gamma segment
-after segment.  On signals of _SWEEP_SEGMENTS segments or more,
+Two schedules apply this rule, with one copy of each of its parts: the
+bound (escape_bounds), the trial (_escapes) and the step with its guard
+and halving (_substep).  _riccati_feasible tests one gamma segment after
+segment, on stacks of one.  On signals of _SWEEP_SEGMENTS segments or more,
 _riccati_sweep decides a stack of gammas in one backward pass: it chains
 whole-segment steps P -> Y X^-1 for every gamma (the flow is exact
 whenever the segment holds no escape), with the exponentials of all
@@ -59,6 +62,11 @@ search and the bisection decide several gammas per sweep (the powers of two
 near the one needed, the 2^3 - 1 midpoints of the next three bisection
 steps) and then walk the same dyadic path as one gamma at a time, so the
 returned value is the same.
+
+_bisection is the one bisection, for gain_for_signal and for each
+gain_search candidate.  A candidate's first decision is at the incumbent,
+the best gain so far: it is skipped when that passes, and otherwise every
+gamma at or below the incumbent fails and is decided without a test.
 """
 
 from __future__ import annotations
@@ -207,12 +215,14 @@ class _RiccatiKernel:
     """Riccati escape-time test on the minimal realization of one system.
 
     What the test needs of a system and a horizon, built by _kernel: the
+    modes whose output map is zero (a signal of only those has gain 0), the
     reduction, the bases for the substep bound (the minimal one and, when it
     exists, the balanced one for the horizon), and per mode A, BB', A', C'C
     and |B|^2 in each basis, stacked over the modes.
     """
 
     def __init__(self, sys, horizon):
+        self.silent = [not m.C.any() for m in sys.modes]
         ms = minimal_realization(sys).sys_min
         self.n = 0 if ms is None else ms.n
         if ms is None:
@@ -221,7 +231,6 @@ class _RiccatiKernel:
         bal = _balancing_transform(ms, horizon)
         bases = [(eye, eye)] + ([bal] if bal is not None else [])
         # a matrix M is taken to S^-1 M S (Acl) and to S' M S (R) in each basis
-        self.bases = bases
         self.S = np.stack([S for S, _ in bases])
         self.left = np.stack([np.stack([S_inv for _, S_inv in bases]),
                               np.stack([S.T for S, _ in bases])])
@@ -234,23 +243,6 @@ class _RiccatiKernel:
         zero = np.zeros_like(A)
         self.H0 = np.block([[-A, zero], [CTC, AT]])
         self.Hq = np.block([[zero, -BBT], [zero, zero]])
-
-    def escape_bound(self, i, q, P):
-        """escape_bounds for one mode index i, gamma^-2 q and (n, n) P.
-
-        The same bound on plain matrices, for the one-gamma test: per call
-        it costs less than a stack of one (gain_search runs ~5% faster).
-        """
-        A, BBT, AT, CTC = self.mats[i]
-        Acl = A + q * (BBT @ P)
-        R = A.T @ P + P @ Acl + CTC
-        mats = []
-        for S, S_inv in self.bases:
-            Acl_k = S_inv @ Acl @ S
-            mats += [S.T @ R @ S, Acl_k + Acl_k.T]
-        eig = np.linalg.eigvalsh(np.stack(mats))
-        return max(_escape_time(q * b2, sym[-1], max(-r[0], r[-1]))
-                   for b2, r, sym in zip(self.b2[i], eig[0::2], eig[1::2]))
 
     def escape_bounds(self, modes, q, P):
         """Lower bound on the escape time of the Riccati solution from each P.
@@ -366,21 +358,22 @@ _SUBSTEP_BUDGET = 2000
 def _riccati_feasible(kern, rev_segs, gamma):
     """True when the backward Riccati equation stays bounded on the horizon.
 
-    The test of one gamma, segment after segment: each constant-mode segment
-    is propagated exactly, [X; Y] = expm(H h) [I; P] and P = Y X^-1, in
-    substeps h of at most half the escape-time bound, halved again while X
-    or Y is not finite or cond(X) >= _COND_MAX.  When the bound does not
-    cover the rest of a segment, one trial across it first looks for a
-    certified escape (_escapes).
+    The test of one gamma, segment after segment, on stacks of one: each
+    constant-mode segment is propagated exactly in substeps h of at most half
+    the escape-time bound (_substep).  When the bound does not cover the rest
+    of a segment, one trial across it first looks for a certified escape
+    (_escapes).
     """
     n = kern.n
     if n == 0:
         return True
     q = 1.0 / (gamma * gamma)
-    P = np.zeros((n, n))
+    qs = np.array([q])
+    P = np.zeros((1, n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # X and Y are tested for finiteness
         for seg, (dt, i) in enumerate(rev_segs):
-            H = kern.H0[i] + q * kern.Hq[i]
+            mode = np.array([i])
+            H = (kern.H0[i] + q * kern.Hq[i])[None]
             left = dt
             tried = False
             for substeps in itertools.count(1):
@@ -388,29 +381,16 @@ def _riccati_feasible(kern, rev_segs, gamma):
                     raise RuntimeError(
                         f"Riccati test at gamma={float(gamma)!r} took more than "
                         f"{_SUBSTEP_BUDGET} substeps on segment {len(rev_segs) - 1 - seg}")
-                h = min(left, 0.5 * kern.escape_bound(i, q, P))
+                h = min(left, 0.5 * float(kern.escape_bounds(mode, qs, P)[0]))
                 if h < left and not tried:
-                    # the trial of _escapes on plain matrices
                     tried = True
-                    E = expm(H * left)
-                    X = E[:n, :n] + E[:n, n:] @ P
-                    if (np.all(np.isfinite(X)) and np.linalg.svd(X, compute_uv=False)[-1]
-                            > np.linalg.norm(E) * (1.0 + np.linalg.norm(P)) / _COND_MAX
-                            and np.linalg.det(X) < 0.0):
+                    if _escapes(expm(H[0] * left)[None], P)[0]:
                         return False
-                while True:
-                    E = expm(H * h)
-                    X, Y = E[:n, :n] + E[:n, n:] @ P, E[n:, :n] + E[n:, n:] @ P
-                    if np.all(np.isfinite(X)) and np.all(np.isfinite(Y)):
-                        U, sv, Vt = np.linalg.svd(X)
-                        if sv[0] < _COND_MAX * sv[-1]:
-                            break
-                    h *= 0.5
-                P = (Y @ Vt.T / sv) @ U.T
-                P = 0.5 * (P + P.T)
-                if not np.linalg.norm(P) < ESCAPE_NORM:
+                hs = np.array([h])    # _substep halves it while the step is not usable
+                P = _substep(H, P, hs, expm(H[0] * h)[None])
+                if not np.linalg.norm(P[0]) < ESCAPE_NORM:
                     return False
-                left -= h
+                left -= float(hs[0])
                 if not left > 0.0:
                     break
     return True
@@ -562,16 +542,6 @@ _BRACKET_WINDOW = 3
 _BISECTION_DEPTH = 3
 
 
-def _decisions(kern, rev_segs, gamma, batch=list):
-    """Feasibility decisions {gamma: bool}: on a signal of _SWEEP_SEGMENTS
-    segments or more, one sweep over gamma and the values batch() lists; on a
-    shorter one, the test of gamma alone."""
-    if len(rev_segs) >= _SWEEP_SEGMENTS:
-        gammas = [gamma] + [g for g in batch() if g != gamma]
-        return dict(zip(gammas, _riccati_sweep(kern, rev_segs, gammas).tolist()))
-    return {gamma: _riccati_feasible(kern, rev_segs, gamma)}
-
-
 def _bisection_points(lo, hi, tol, depth):
     """Midpoints the bisection loop may probe in its next `depth` steps from [lo, hi]."""
     if depth == 0 or not hi - lo > tol * max(hi, 1.0):
@@ -581,47 +551,47 @@ def _bisection_points(lo, hi, tol, depth):
             + _bisection_points(mid, hi, tol, depth - 1))
 
 
-def gain_for_signal(
-    sys: SystemSpec,
-    sig: Signal,
-    T: float,
-    tol: float = 1e-4,
-    *,
-    gamma_hi: float = 1.0,
-    compute_witness: bool = False,
-) -> GainEstimate:
-    """Finite-horizon L2-gain of one signal via Riccati bisection.
+def _bisection(kern, rev_segs, tol, incumbent=None):
+    """Gain of one signal by Riccati bisection: |hi - lo| < tol * max(hi, 1).
 
-    Bisection tolerance is relative: |hi - lo| < tol * max(hi, 1), with a
-    finite tol > 0 and T in (0, sig.horizon].  With compute_witness, a power
-    iteration on the grid of step T / 400 attaches a witness input and its
-    energy ratio.
+    With an incumbent gamma > 0, the first decision is taken there: None when
+    it passes, as the gain is then at most the incumbent.  Otherwise every
+    gamma at or below the incumbent fails too and is decided without a test,
+    and the bracket search starts at 2^ceil(log2 incumbent).  The returned
+    value does not depend on the incumbent.  On a signal of _SWEEP_SEGMENTS
+    segments or more, each decision comes from one sweep over the gamma
+    asked for and the open values the search lists next; on a shorter one,
+    from the test of that gamma alone.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not 0 < T <= sig.horizon * (1 + 1e-9):
-        raise ValueError(f"horizon T={T} outside the signal horizon {sig.horizon}")
-    sig.check_modes(sys)
-    rev = _reversed_segments(sig, T)
-
-    if sys.n == 0 or all(np.all(sys.C(i) == 0.0) for _, i in rev):
-        return GainEstimate(0.0, T, "rde_bisection", tol, witness_signal=sig)
-    kern = _kernel(sys, T)
+    if all(kern.silent[i] for _, i in rev_segs):
+        return 0.0
     decided = {}
+    floor = 0.0    # every gamma at or below it fails
 
-    def feasible(gamma, batch):
-        """The decision at gamma, made with those of the undecided values batch() lists."""
+    def feasible(gamma, batch=list):
+        """The decision at gamma, made with those of the open values batch() lists."""
+        if gamma <= floor:
+            return False
         if gamma not in decided:
-            decided.update(_decisions(kern, rev, gamma,
-                                      lambda: [g for g in batch() if g not in decided]))
+            if len(rev_segs) >= _SWEEP_SEGMENTS:
+                gammas = [gamma] + [g for g in batch()
+                                    if g > floor and g != gamma and g not in decided]
+                decided.update(zip(gammas, _riccati_sweep(kern, rev_segs, gammas).tolist()))
+            else:
+                decided[gamma] = _riccati_feasible(kern, rev_segs, gamma)
         return decided[gamma]
+
+    if incumbent:
+        if feasible(incumbent):
+            return None
+        floor = incumbent
 
     # canonical dyadic bracket: the smallest feasible power of two, so the
     # bisection sequence (hence the returned value) does not depend on the
-    # warm start; nested search sweeps then reproduce identical values.
+    # incumbent; nested search sweeps then reproduce identical values.
     # Each sweep also decides the powers within _BRACKET_WINDOW of the one
     # needed, inside the range the search may probe: 2^-40 to 2^(m0 + 60)
-    m0 = max(int(math.ceil(math.log2(max(gamma_hi, 1.0)))), 0)
+    m0 = math.ceil(math.log2(max(incumbent or 1.0, 1.0)))
 
     def powers_near(e):
         return [2.0 ** k for k in range(max(e - _BRACKET_WINDOW, -40),
@@ -646,12 +616,35 @@ def gain_for_signal(
             hi = mid
         else:
             lo = mid
-    value = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def gain_for_signal(
+    sys: SystemSpec,
+    sig: Signal,
+    T: float,
+    tol: float = 1e-4,
+    *,
+    compute_witness: bool = False,
+) -> GainEstimate:
+    """Finite-horizon L2-gain of one signal via Riccati bisection.
+
+    Bisection tolerance is relative: |hi - lo| < tol * max(hi, 1), with a
+    finite tol > 0 and T in (0, sig.horizon].  With compute_witness, a power
+    iteration on the grid of step T / 400 attaches a witness input and its
+    energy ratio (none for a zero gain: no mode of the signal has an output).
+    """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not 0 < T <= sig.horizon * (1 + 1e-9):
+        raise ValueError(f"horizon T={T} outside the signal horizon {sig.horizon}")
+    sig.check_modes(sys)
+    value = _bisection(_kernel(sys, T), _reversed_segments(sig, T), tol)
 
     ratio = None
     witness_u = None
     dt_used = None
-    if compute_witness:
+    if compute_witness and value:
         dt_used = T / 400.0
         power = gain_power_lower(sys, sig, T, dt_used)
         ratio = power.value
@@ -812,8 +805,9 @@ def gain_search(
     dwell floors evaluate supersets (monotonicity under nested budgets); the
     best signal's switch times are then locally refined when refine is set.
     """
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"T must be positive and finite, got {T!r}")
+    for name, value in (("T", T), ("tol", tol)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     tau = class_tau(cls)
     if duration_grid is None:
         duration_grid = tuple(T * f for f in (0.125, 0.25, 0.5, 0.75))
@@ -830,11 +824,7 @@ def gain_search(
         """The gain of a class-valid candidate, or None when it cannot raise the maximum."""
         if tau > 0 and not validate_membership(sig, dwell_cls).ok:
             return None
-        # one feasibility probe at the incumbent: a candidate whose RDE
-        # survives at gamma = best cannot raise the maximum
-        if best and _decisions(kern, _reversed_segments(sig, T), best)[best]:
-            return None
-        return gain_for_signal(sys, sig, T, tol, gamma_hi=best or 1.0).value
+        return _bisection(kern, _reversed_segments(sig, T), tol, best)
 
     seen = 0
     for sig in _candidate_signals(sys.n_modes, T, max_switches, duration_grid):

@@ -87,7 +87,7 @@ def rk_riccati_feasible(sys, rev_segs, gamma):
 def rk_gain(sys, rev_segs, tol):
     """Gain by bisection on rk_riccati_feasible over the library's dyadic bracket.
 
-    Same bracket and midpoints as l2gain.gain_for_signal (gamma_hi = 1), so
+    Same bracket and midpoints as l2gain._bisection without an incumbent, so
     two runs that take the same decisions return the same value.
     """
     m = 0

@@ -7,7 +7,7 @@ import pytest
 from switchgain.cli import main
 from switchgain.core import serialize_signal, serialize_system, Signal
 from switchgain.gallery import common_lyapunov_modes, example_system, rotated_nodes_pair
-from switchgain import Mode, SystemSpec
+from switchgain import Mode, SystemSpec, l2gain
 
 
 @pytest.fixture
@@ -39,6 +39,24 @@ class TestRho:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "tau,lower_raw,lower_envelope,upper"
         assert len(lines) == 4
+
+    def test_tau_grid_bytes(self, scalar_system_file, tmp_path):
+        # an upper bound that is not certified along the grid leaves its column empty
+        out = tmp_path / "curve.csv"
+        assert main(["rho", "--system", scalar_system_file, "--tau-grid", "0.2,1.0",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "tau,lower_raw,lower_envelope,upper\n"
+            "0.2,0.36787944117144233,0.36787944117144233,\n"
+            "1.0,0.36787944117144233,0.36787944117144233,\n")
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        assert main(["rho", "--system", str(path), "--tau-grid", "0.5,2.0", "--with-upper",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "tau,lower_raw,lower_envelope,upper\n"
+            "0.5,2.728941919479467,2.728941919479467,4.110134162934218\n"
+            "2.0,0.637169811666148,0.637169811666148,3.230009717690357\n")
 
     def test_missing_tau_is_error(self, scalar_system_file):
         assert main(["rho", "--system", scalar_system_file]) == 1
@@ -81,6 +99,32 @@ class TestGain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("step", ["0", "nan", "inf", "-0.1"])
+    def test_bad_grid_step_rejected(self, tmp_path, step, capsys):
+        # unchecked, 0 searched the default grid, nan and inf an empty one
+        # (0.516 instead of 1.571 here) and -0.1 failed on a negative duration
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        assert main(["gain", "--system", str(path), "--T", "1", "--grid-step", step]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --grid-step must be positive" in captured.err
+
+    def test_tau_grid_csv(self, tmp_path):
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        out = tmp_path / "sweep.csv"
+        assert main(["gain", "--system", str(path), "--T", "1", "--max-switches", "2",
+                     "--tau-grid", "0,0.5,0.75", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "tau,T,gain_lower"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [(tau, T) for tau, T, _ in rows] == [(0.0, 1.0), (0.5, 1.0), (0.75, 1.0)]
+        gains = [g for _, _, g in rows]
+        # a longer dwell floor searches fewer signals
+        assert all(a >= b for a, b in zip(gains, gains[1:]))
+        assert gains[-1] < gains[0]
 
     def test_search_gain(self, scalar_system_file, tmp_path):
         out = tmp_path / "gain.json"
@@ -139,6 +183,15 @@ class TestGallery:
         sysm = parse_system(out.read_text())
         assert sysm.n == 3 and sysm.n_modes == 3
 
+    def test_emit_orbit_csv(self, tmp_path):
+        out = tmp_path / "orbit.csv"
+        assert main(["gallery", "--emit-orbit", "--alpha", "4.5047", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "theta,radius"
+        assert len(lines) == 1 + 2049
+        radii = [float(line.split(",")[1]) for line in lines[1:]]
+        assert 1.0 <= min(radii) and max(radii) <= math.sqrt(3.0)
+
     def test_verify_lyapunov_report(self, tmp_path):
         out = tmp_path / "lyap.json"
         code = main(["gallery", "--verify-lyapunov", "--samples", "500",
@@ -173,6 +226,23 @@ class TestTauMinCommand:
         doc = json.loads(out.read_text())
         assert 0.6 <= doc["tau_reject"] <= doc["tau_accept"] <= 2.0
         assert doc["width"] <= 0.05
+
+
+    def test_undecided_zone_exits_two(self, tmp_path, monkeypatch):
+        # every tau in (1.0, 1.5) undecided: the bisection stops with the flag
+        def classify(ms, cls, lower_est, upper_opts):
+            return "reject" if cls.tau <= 1.0 else "accept" if cls.tau >= 1.5 else "undecided"
+
+        monkeypatch.setattr(l2gain, "_classify_tau", classify)
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        out = tmp_path / "taumin.json"
+        code = main(["taumin", "--system", str(path), "--tau-lo", "0.6", "--tau-hi", "2.0",
+                     "--out", str(out)])
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["flags"] == ["undecided_zone"]
+        assert doc["tau_reject"] <= 1.0 and doc["tau_accept"] >= 1.5
 
 
 class TestMinreal:

@@ -16,8 +16,9 @@ from switchgain import (
     gain_search,
     minimal_realization,
     tau_min,
+    validate_membership,
 )
-from switchgain import l2gain
+from switchgain import l2gain, spectral
 from switchgain.gallery import (
     alpha_star,
     common_lyapunov_modes,
@@ -291,6 +292,53 @@ class TestSweepCost:
             assert time.monotonic() - t0 < 2.0
 
 
+class TestIncumbentCost:
+    """Counts, not wall clock: Riccati tests below an incumbent a candidate failed."""
+
+    def test_defaults_query(self, monkeypatch):
+        runs = []    # per bisection: [incumbent, gammas tested, result]
+        bisection = l2gain._bisection
+        feasible, sweep = l2gain._riccati_feasible, l2gain._riccati_sweep
+
+        def traced_bisection(kern, rev, tol, incumbent=None):
+            runs.append([incumbent, []])
+            runs[-1].append(bisection(kern, rev, tol, incumbent))
+            return runs[-1][2]
+
+        def traced_feasible(kern, rev, gamma):
+            runs[-1][1].append(gamma)
+            return feasible(kern, rev, gamma)
+
+        def traced_sweep(kern, rev, gammas):
+            runs[-1][1].extend(gammas)
+            return sweep(kern, rev, gammas)
+
+        monkeypatch.setattr(l2gain, "_bisection", traced_bisection)
+        monkeypatch.setattr(l2gain, "_riccati_feasible", traced_feasible)
+        monkeypatch.setattr(l2gain, "_riccati_sweep", traced_sweep)
+        est = gain_search(rotated_nodes_pair(), SignalClassSpec.dwell(0.5), 3.0)
+        assert est.value == float.fromhex("0x1.0a96000000000p+3")
+        failed = [(best, gammas) for best, gammas, value in runs if best and value is not None]
+        assert failed
+        for best, gammas in failed:
+            assert gammas[0] == best
+            assert all(g > best for g in gammas[1:])
+        # 268 when each bisection started afresh after its incumbent probe
+        assert sum(len(gammas) for _, gammas, _ in runs) <= 218
+
+    def test_sweep_skips_values_below_the_incumbent(self, monkeypatch):
+        sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
+        rev = _reversed_segments(sig, sig.horizon)
+        kern = _RiccatiKernel(sysm, sig.horizon)
+        gain = l2gain._bisection(kern, rev, 1e-4)
+        assert l2gain._bisection(kern, rev, 1e-4, 1.1 * gain) is None
+        calls = recording(monkeypatch, l2gain, "_riccati_sweep")
+        incumbent = 0.9 * gain
+        assert l2gain._bisection(kern, rev, 1e-4, incumbent).hex() == gain.hex()
+        assert calls[0][2] == [incumbent]
+        assert all(g > incumbent for args in calls[1:] for g in args[2])
+
+
 class TestPowerLower:
     def test_first_order_approaches_one(self):
         sysm = single_mode([[-1.0]], [[1.0]], [[1.0]])
@@ -441,8 +489,9 @@ class TestBisectionProbes:
         calls = recording(monkeypatch, l2gain, "_riccati_feasible")
         est = gain_search(rotated_nodes_pair(), SignalClassSpec.dwell(0.5), 3.0,
                           max_switches=2, eval_budget=30)
-        # three gain_for_signal calls, one probe fewer each than before
-        assert len(calls) == 69
+        # three bisections, one probe fewer each than before; the third fails
+        # its incumbent 3.034 and no longer tests 2.0 and 3.0 below it (69)
+        assert len(calls) == 67
         assert est.value == float.fromhex("0x1.b84c000000000p+1")
         assert est.witness_signal.segments == ((1, 1.5), (0, 1.5))
 
@@ -523,6 +572,18 @@ class TestGainSearch:
         # another horizon needs its own balancing
         gain_for_signal(sysm, sig, 0.8)
         assert calls == [sysm, sysm]
+
+    def test_refinement_raises_the_value(self):
+        # the grid switches only at 0.3; refining the switch time finds 0.5
+        sysm, cls = rotated_nodes_pair(), SignalClassSpec.dwell(0.25)
+        coarse = gain_search(sysm, cls, 1.0, max_switches=1, duration_grid=(0.3,), refine=False)
+        est = gain_search(sysm, cls, 1.0, max_switches=1, duration_grid=(0.3,))
+        assert est.value > coarse.value
+        assert est.witness_signal.segments != coarse.witness_signal.segments
+        assert validate_membership(est.witness_signal, cls).ok
+        # the refined candidate was bisected with the incumbent it beat
+        again = gain_for_signal(sysm, est.witness_signal, 1.0)
+        assert again.value.hex() == est.value.hex()
 
     @pytest.mark.parametrize("T, tol", [(math.nan, 1e-4), (math.inf, 1e-4), (0.0, 1e-4),
                                         (1.0, math.nan), (1.0, math.inf)])
@@ -641,6 +702,31 @@ class TestTauMin:
             assert (res.tau_reject, res.tau_accept) == tuple(map(float.fromhex, bracket))
             assert not res.flags
         assert (len(lower), len(upper)) == (rho_lower_calls, rho_upper_calls)
+
+    def test_zero_system(self):
+        # B = 0: the minimal realization has dimension 0
+        sysm = single_mode([[-1.0, 2.0], [0.0, -3.0]], [[0.0], [0.0]], [[1.0, 1.0]])
+        res = tau_min(sysm, (0.5, 1.0))
+        assert (res.tau_reject, res.tau_accept, res.flags) == (0.0, 0.0, ("zero_system",))
+
+    def test_bracket_lo_not_rejected(self):
+        # rho at tau = 1.4 lies in [0.806, 2.51], and the arbitrary class is not accepted
+        res = tau_min(rotated_nodes_pair(), (1.4, 2.0))
+        assert (res.tau_reject, res.tau_accept) == (0.0, 1.4)
+        assert res.flags == ("bracket_lo_not_rejected",)
+
+    def test_undecided_zone(self, monkeypatch):
+        def classify(ms, cls, lower_est, upper_opts):
+            tau = spectral.class_tau(cls)
+            return "reject" if tau <= 1.0 else "accept" if tau >= 1.5 else "undecided"
+
+        monkeypatch.setattr(l2gain, "_classify_tau", classify)
+        res = tau_min(rotated_nodes_pair(), (0.6, 2.0))
+        # mid 1.3 undecided: quarter points 0.95 (reject) and 1.7375 (accept);
+        # mid 1.34 undecided: 1.15 undecided, 1.54 accept; mid 1.25 and its
+        # quarter points 1.10 and 1.39 undecided: no progress
+        assert (res.tau_reject, res.tau_accept) == (0.95, 1.540625)
+        assert res.flags == ("undecided_zone",)
 
     def test_nodes_pair_bracket(self):
         sysm = rotated_nodes_pair()

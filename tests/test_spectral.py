@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from switchgain import (
     Mode,
@@ -67,6 +68,26 @@ class TestSignalSemigroup:
         assert validate_membership(s, SignalClassSpec.dwell(1.0)).ok
         assert s.horizon == pytest.approx(s1.horizon + s2.horizon)
         assert s.segments[1] == (1, 2.7)
+
+
+class TestModeExponentials:
+    def test_defective_mode_falls_back_to_expm(self):
+        # a Jordan block has no eigenvector basis (cond(V) ~ 9e15), so every
+        # exponential comes from scipy's expm, bit for bit
+        A = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        ts = [0.0, 0.3, 1.0, 2.5]
+        got = spectral._mode_exponentials(A, ts)
+        assert np.array_equal(got, np.stack([expm(A * t) for t in ts]))
+
+
+class TestClassTau:
+    @pytest.mark.parametrize("n0, lower, upper", [(1, 0.7, 0.7), (3, 0.7, 0.0)])
+    def test_avg_dwell(self, n0, lower, upper):
+        # with N0 = 1 the class is the dwell class; otherwise the upper side
+        # covers every piecewise-constant signal
+        cls = SignalClassSpec.avg_dwell(0.7, n0)
+        assert spectral.class_tau(cls) == lower
+        assert spectral.class_tau(cls, for_upper=True) == upper
 
 
 class TestRhoLower:
