@@ -185,6 +185,9 @@ def _run_gain(args):
     if args.grid_step is not None:
         if not 0 < args.grid_step < math.inf:
             raise ValueError("--grid-step must be positive and finite")
+        if args.grid_step >= args.T:
+            # no switch time would fit in the horizon: only constant signals
+            raise ValueError(f"--grid-step {args.grid_step!r} must be below --T {args.T!r}")
         kwargs["duration_grid"] = tuple(args.grid_step * k for k in (1, 2, 3, 4, 6, 8)
                                         if args.grid_step * k < args.T)
     if args.tau_grid:

@@ -45,10 +45,13 @@ exact flow over the rest of a segment proves that X turned singular, that
 is, an escape, before t.  It is trusted only when X(t) is far enough from
 singular that rounding cannot flip the sign.
 
-Two schedules apply this rule, with one copy of each of its parts: the
+Three schedules apply this rule, with one copy of each of its parts: the
 bound (escape_bounds), the trial (_escapes) and the step with its guard
 and halving (_substep).  _riccati_feasible tests one gamma segment after
-segment, on stacks of one.  On signals of _SWEEP_SEGMENTS segments or more,
+segment, on stacks of one.  _riccati_rows runs many such tests, each a
+(signal, gamma) row, in lockstep: at each segment index the live rows
+pass through _certify as one stack, so every row gets the substep rule of
+the one-gamma test.  On signals of _SWEEP_SEGMENTS segments or more,
 _riccati_sweep decides a stack of gammas in one backward pass: it chains
 whole-segment steps P -> Y X^-1 for every gamma (the flow is exact
 whenever the segment holds no escape), with the exponentials of all
@@ -67,6 +70,13 @@ _bisection is the one bisection, for gain_for_signal and for each
 gain_search candidate.  A candidate's first decision is at the incumbent,
 the best gain so far: it is skipped when that passes, and otherwise every
 gamma at or below the incumbent fails and is decided without a test.
+gain_search takes those incumbent probes with _riccati_rows, for a chunk
+of candidates at a time, and hands a failed probe to the bisection as its
+first decision.  Its result is that of one candidate at a time because
+every probe it uses is taken at the best of its candidate's turn: within a
+chunk the best changes only at a failed probe, and when the bisection
+there raises it, the chunk's later decisions are dropped and the walk
+resumes from the next candidate.
 """
 
 from __future__ import annotations
@@ -532,6 +542,42 @@ def _riccati_sweep(kern, rev_segs, gammas):
     return ~failed.any(axis=0)
 
 
+def _riccati_rows(kern, rows):
+    """For each row (reversed segments, gamma), _riccati_feasible's decision.
+
+    Every row is a one-gamma test, and all of them advance together, one
+    segment index at a time: the rows still alive that have a segment there
+    go through _certify as one stack, from the escape-time bound at their P,
+    so each row runs the substep rule as the one-gamma test does.  A row that
+    escapes fails; a row past _SUBSTEP_BUDGET substeps on a segment raises
+    RuntimeError as the one-gamma test would.
+    """
+    passed = np.ones(len(rows), dtype=bool)
+    n = kern.n
+    if n == 0:
+        return passed
+    q = np.array([1.0 / (gamma * gamma) for _, gamma in rows])
+    P = np.zeros((len(rows), n, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # X and Y are tested for finiteness
+        for seg in itertools.count():
+            live = np.array([r for r, (rev, _) in enumerate(rows) if passed[r] and seg < len(rev)],
+                            dtype=int)
+            if not live.size:
+                break
+            dts = np.array([rows[r][0][seg][0] for r in live])
+            modes = np.array([rows[r][0][seg][1] for r in live])
+            H = kern.H0[modes] + q[live, None, None] * kern.Hq[modes]
+            P[live], status = _certify(kern, modes, q[live], P[live], H, _exponentials(H, dts),
+                                       dts, kern.escape_bounds(modes, q[live], P[live]))
+            passed[live[status != _PASSED]] = False
+            exhausted = live[status == _EXHAUSTED]
+            if exhausted.size:
+                rev, gamma = rows[exhausted[0]]
+                raise RuntimeError(f"Riccati test at gamma={float(gamma)!r} took more than "
+                                   f"{_SUBSTEP_BUDGET} substeps on segment {len(rev) - 1 - seg}")
+    return passed
+
+
 # segments from which a sweep over several gammas beats one test per gamma
 # (gain_for_signal on the nodes pair, 2-vCPU Xeon: 4 segments 1.33x slower,
 # 8 segments 2.1x faster)
@@ -551,21 +597,23 @@ def _bisection_points(lo, hi, tol, depth):
             + _bisection_points(mid, hi, tol, depth - 1))
 
 
-def _bisection(kern, rev_segs, tol, incumbent=None):
+def _bisection(kern, rev_segs, tol, incumbent=None, decided=None):
     """Gain of one signal by Riccati bisection: |hi - lo| < tol * max(hi, 1).
 
     With an incumbent gamma > 0, the first decision is taken there: None when
     it passes, as the gain is then at most the incumbent.  Otherwise every
     gamma at or below the incumbent fails too and is decided without a test,
     and the bracket search starts at 2^ceil(log2 incumbent).  The returned
-    value does not depend on the incumbent.  On a signal of _SWEEP_SEGMENTS
-    segments or more, each decision comes from one sweep over the gamma
-    asked for and the open values the search lists next; on a shorter one,
-    from the test of that gamma alone.
+    value does not depend on the incumbent.  decided holds decisions already
+    taken (gamma -> bool), which are not taken again: gain_search passes the
+    incumbent probe that failed.  On a signal of _SWEEP_SEGMENTS segments or
+    more, each decision comes from one sweep over the gamma asked for and the
+    open values the search lists next; on a shorter one, from the test of that
+    gamma alone.
     """
     if all(kern.silent[i] for _, i in rev_segs):
         return 0.0
-    decided = {}
+    decided = dict(decided or {})
     floor = 0.0    # every gamma at or below it fails
 
     def feasible(gamma, batch=list):
@@ -804,6 +852,15 @@ def gain_search(
     enumerated in a fixed order and filtered for class validity, so smaller
     dwell floors evaluate supersets (monotonicity under nested budgets); the
     best signal's switch times are then locally refined when refine is set.
+
+    The result is that of evaluating the candidates one at a time: each is
+    first tested at the best gain so far (the incumbent probe), skipped when
+    that passes and bisected otherwise.  Those probes are taken in chunks,
+    one _riccati_rows pass per chunk at the running best, the chunk doubling
+    while every probe in it passes.  A failed probe is the first decision of
+    its candidate's bisection.  If the bisection raises the best, the
+    decisions after it in the chunk, taken at the old best, are dropped, so
+    each candidate is decided at the best of its turn, as one at a time.
     """
     for name, value in (("T", T), ("tol", tol)):
         if not (value > 0 and math.isfinite(value)):
@@ -820,21 +877,44 @@ def gain_search(
     best = None
     best_sig = None
 
-    def evaluate(sig):
-        """The gain of a class-valid candidate, or None when it cannot raise the maximum."""
-        if tau > 0 and not validate_membership(sig, dwell_cls).ok:
-            return None
-        return _bisection(kern, _reversed_segments(sig, T), tol, best)
+    def walk(sigs):
+        """Evaluate the class-valid signals of sigs in order, raising best;
+        the index in sigs of the last one that raised it, or None."""
+        nonlocal best, best_sig
+        todo = [(k, sig, _reversed_segments(sig, T)) for k, sig in enumerate(sigs)
+                if tau == 0 or validate_membership(sig, dwell_cls).ok]
+        won = None
+        pos, size = 0, 1
+        while pos < len(todo):
+            incumbent = best
+            chunk = todo[pos:pos + size]
+            if not incumbent:    # nothing to probe at: bisect the next candidate
+                chunk, passed = chunk[:1], [False]
+            elif len(chunk) == 1:
+                passed = [_riccati_feasible(kern, chunk[0][2], incumbent)]
+            else:
+                try:
+                    passed = _riccati_rows(kern, [(rev, incumbent) for _, _, rev in chunk])
+                except RuntimeError:
+                    # some probe ran out of substeps; one at a time, it raises
+                    # only if the one-at-a-time loop reaches it at this best
+                    size = 1
+                    continue
+            size *= 2
+            for (k, sig, rev), ok in zip(chunk, passed):
+                pos += 1
+                if ok:
+                    continue
+                size = 1
+                value = _bisection(kern, rev, tol, incumbent,
+                                   {incumbent: False} if incumbent else None)
+                if best is None or value > best:
+                    best, best_sig, won = value, sig, k
+                    break
+        return won
 
-    seen = 0
-    for sig in _candidate_signals(sys.n_modes, T, max_switches, duration_grid):
-        seen += 1
-        if seen > eval_budget:
-            break
-        value = evaluate(sig)
-        if value is not None and (best is None or value > best):
-            best = value
-            best_sig = sig
+    walk(itertools.islice(_candidate_signals(sys.n_modes, T, max_switches, duration_grid),
+                          max(eval_budget, 0)))
     if best is None:
         raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
 
@@ -849,16 +929,18 @@ def gain_search(
                 if hi_lim <= lo_lim:
                     continue
 
-                for t_j in np.linspace(lo_lim, hi_lim, 5):
+                # the trials do not depend on each other's outcome
+                trials = np.linspace(lo_lim, hi_lim, 5)
+                sigs = []
+                for t_j in trials:
                     ts = switch_times.copy()
                     ts[j] = t_j
                     bounds = np.concatenate([[0.0], ts, [T]])
-                    sig2 = Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
-                                        for i in range(len(segs))))
-                    v = evaluate(sig2)
-                    if v is not None and v > best:
-                        best, best_sig = v, sig2
-                        switch_times[j] = t_j
+                    sigs.append(Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
+                                             for i in range(len(segs)))))
+                won = walk(sigs)
+                if won is not None:
+                    switch_times[j] = trials[won]
     return GainEstimate(best, T, "search", tol, witness_signal=best_sig)
 
 

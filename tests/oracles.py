@@ -7,7 +7,8 @@ reachable spans, a frequency sweep for unswitched H-infinity norms, the
 closed-form Riccati escape time for the finite-horizon gain of a stable scalar
 mode, the power iteration's original per-step forward and adjoint loops, and
 the polytope certifier's original domination loop, which decides
-every product against every stored Gram matrix with eigvalsh.
+every product against every stored Gram matrix with eigvalsh, and the
+original gain search, which evaluates one candidate at a time.
 
 The flows references keep the per-step span clipping flows used before its
 forward segment cursor (reference_simulate, reference_transition,
@@ -22,7 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from switchgain import l2gain, spectral
+from switchgain import Signal, l2gain, spectral, validate_membership
 from switchgain.flows import GramianPair, Trajectory, _gram_block
 from switchgain.l2gain import ESCAPE_NORM
 
@@ -106,6 +107,63 @@ def rk_gain(sys, rev_segs, tol):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def reference_gain_search(sys, cls, T, *, max_switches=4, duration_grid=None, refine=True,
+                           eval_budget=160, tol=1e-4):
+    """(value, witness signal) of l2gain.gain_search, one candidate at a time.
+
+    The candidate loop and the refinement as they were before the incumbent
+    probes were batched: each class-valid candidate goes through one
+    l2gain._bisection at the best gain so far, whose first decision is the
+    probe there.
+    """
+    tau = spectral.class_tau(cls)
+    if duration_grid is None:
+        duration_grid = tuple(T * f for f in (0.125, 0.25, 0.5, 0.75))
+    kern = l2gain._kernel(sys, T)
+    best = None
+    best_sig = None
+
+    def evaluate(sig):
+        if tau > 0 and not validate_membership(sig, cls).ok:
+            return None
+        return l2gain._bisection(kern, l2gain._reversed_segments(sig, T), tol, best)
+
+    seen = 0
+    for sig in l2gain._candidate_signals(sys.n_modes, T, max_switches, duration_grid):
+        seen += 1
+        if seen > eval_budget:
+            break
+        value = evaluate(sig)
+        if value is not None and (best is None or value > best):
+            best = value
+            best_sig = sig
+    if best is None:
+        raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
+
+    if refine and len(best_sig.segments) > 1:
+        segs = list(best_sig.segments)
+        switch_times = np.cumsum([d for _, d in segs])[:-1]
+        for _ in range(2):
+            for j in range(len(switch_times)):
+                lo_lim = (switch_times[j - 1] if j else 0.0) + max(tau, 1e-6)
+                nxt = switch_times[j + 1] if j + 1 < len(switch_times) else T
+                hi_lim = nxt - max(tau, 1e-6)
+                if hi_lim <= lo_lim:
+                    continue
+
+                for t_j in np.linspace(lo_lim, hi_lim, 5):
+                    ts = switch_times.copy()
+                    ts[j] = t_j
+                    bounds = np.concatenate([[0.0], ts, [T]])
+                    sig2 = Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
+                                        for i in range(len(segs))))
+                    v = evaluate(sig2)
+                    if v is not None and v > best:
+                        best, best_sig = v, sig2
+                        switch_times[j] = t_j
+    return best, best_sig
 
 
 def _segment_spans(sig):

@@ -111,6 +111,18 @@ class TestGain:
         assert captured.out == ""
         assert "error: --grid-step must be positive" in captured.err
 
+    @pytest.mark.parametrize("sweep", [[], ["--tau-grid", "0,0.5"]])
+    @pytest.mark.parametrize("step", ["1", "2"])
+    def test_grid_step_at_or_above_horizon_rejected(self, tmp_path, step, sweep, capsys):
+        # unchecked, the duration grid came out empty and only constant
+        # signals were searched: --grid-step 2 printed 0.516 where 0.2 gives 1.571
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        assert main(["gain", "--system", str(path), "--T", "1", "--grid-step", step] + sweep) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --grid-step {float(step)!r} must be below --T 1.0" in captured.err
+
     def test_tau_grid_csv(self, tmp_path):
         path = tmp_path / "nodes.json"
         path.write_text(serialize_system(rotated_nodes_pair()))

@@ -30,6 +30,7 @@ from switchgain.l2gain import (
     _escape_time,
     _reversed_segments,
     _riccati_feasible,
+    _riccati_rows,
     _riccati_sweep,
     _RiccatiKernel,
 )
@@ -37,6 +38,7 @@ from switchgain.spectral import rho_curve
 
 from oracles import (
     hinf_norm,
+    reference_gain_search,
     reference_power_lower,
     rk_gain,
     rk_riccati_feasible,
@@ -292,39 +294,168 @@ class TestSweepCost:
             assert time.monotonic() - t0 < 2.0
 
 
+def random_signal(rng, n_modes, T):
+    """1 to 5 segments of random modes covering [0, T], none shorter than T / 20."""
+    k = int(rng.integers(1, 6))
+    durations = T / 20 + rng.dirichlet(np.ones(k)) * (T - k * T / 20)
+    return Signal(tuple((int(rng.integers(n_modes)), float(d)) for d in durations))
+
+
+class TestRiccatiRows:
+    """The row engine decides every row as the one-gamma test does."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decisions_match_scalar_test(self, seed):
+        rng = np.random.default_rng(seed)
+        T = 1.5
+        sysm = random_switched(seed, int(rng.integers(2, 4)), 1, 1)
+        kern = _RiccatiKernel(sysm, T)
+        rows = []
+        for _ in range(6):
+            rev = _reversed_segments(random_signal(rng, 2, T), T)
+            gain = l2gain._bisection(kern, rev, 1e-6)
+            rows += [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(rev, 1e-9)]
+        # rows of 1 to 5 segments and of feasible and infeasible gammas, in one pass
+        assert len({len(rev) for rev, _ in rows}) > 1
+        scalar = [_riccati_feasible(kern, rev, gamma) for rev, gamma in rows]
+        assert any(scalar) and not all(scalar)
+        assert _riccati_rows(kern, rows).tolist() == scalar
+
+    @pytest.mark.parametrize("name", ["nodes_default", "planted3", "stiff", "b_zero"])
+    def test_parity_cases(self, name):
+        sysm, sig, T = PARITY_CASES[name]()
+        rev = _reversed_segments(sig, T)
+        kern = _RiccatiKernel(sysm, T)
+        gain = l2gain._bisection(kern, rev, 1e-6)
+        rows = [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(rev[-1:], gain)]
+        assert _riccati_rows(kern, rows).tolist() == [_riccati_feasible(kern, r, g)
+                                                      for r, g in rows]
+
+    def test_substep_budget(self):
+        # the system of TestSweepCost.test_substep_budget: near gamma = 1e-9
+        # the last segment, the first one backwards, needs more than
+        # _SUBSTEP_BUDGET substeps; the row at gamma = 1 passes beside it
+        sysm = single_mode([[-1.0, 1e4], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+        kern = _RiccatiKernel(sysm, 1.0)
+        rev = [(0.5, 0), (0.5, 0)]
+        for test in (lambda: _riccati_rows(kern, [(rev, 1.0), (rev, 1e-9)]),
+                     lambda: _riccati_feasible(kern, rev, 1e-9)):
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match=r"gamma=1e-09 .* segment 1"):
+                test()
+            assert time.monotonic() - t0 < 2.0
+
+
+class TestGainSearchOracle:
+    """gain_search against the one-candidate-at-a-time loop it replaces."""
+
+    C6 = {"max_switches": 2, "duration_grid": (0.4, 0.8, 1.2, 1.6), "refine": False,
+          "eval_budget": 30, "tol": 1e-5}
+    # name -> () -> (system, class, T, options)
+    CASES = {
+        "nodes_arb_T0.4": lambda: (rotated_nodes_pair(), ARB, 0.4, {}),
+        "nodes_dwell0.25_T0.5": lambda: (rotated_nodes_pair(-1.0, -4.0, 1.5),
+                                         SignalClassSpec.dwell(0.25), 0.5, {}),
+        "nodes_dwell0.25_T0.5_norefine": lambda: (rotated_nodes_pair(-1.0, -4.0, 1.5),
+                                                  SignalClassSpec.dwell(0.25), 0.5,
+                                                  {"refine": False}),
+        "nodes_c6_dwell0.5_T3": lambda: (rotated_nodes_pair(-1.0, -4.0, 1.5),
+                                         SignalClassSpec.dwell(0.5), 3.0, TestGainSearchOracle.C6),
+        "nodes_c6_dwell1.1_T2": lambda: (rotated_nodes_pair(-0.5, -3.0, 2.0),
+                                         SignalClassSpec.dwell(1.1), 2.0, TestGainSearchOracle.C6),
+        "planted3_arb_T0.5": lambda: (planted3(), ARB, 0.5, {}),
+        # the first candidates' gain is 2^-41: probes at that incumbent fail
+        "example_dwell0.5_T1": lambda: (example_system(4.5), SignalClassSpec.dwell(0.5), 1.0, {}),
+        "example_arb_T1_norefine": lambda: (example_system(4.5), ARB, 1.0,
+                                            {"max_switches": 2, "refine": False}),
+        **{f"random{seed}_{kind}": (lambda seed=seed, kind=kind: (
+            random_switched(100 + seed, 2 + seed % 2, 1, 1),
+            ARB if kind == "arb" else SignalClassSpec.dwell(0.2), 1.0,
+            {"max_switches": 3, "eval_budget": 80}))
+           for seed in range(3) for kind in ("arb", "dwell0.2")},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_reference(self, name):
+        sysm, cls, T, opts = self.CASES[name]()
+        value, witness = reference_gain_search(sysm, cls, T, **opts)
+        est = gain_search(sysm, cls, T, **opts)
+        assert est.value.hex() == value.hex()
+        assert est.witness_signal.segments == witness.segments
+
+    def test_rows_that_raise_are_redone_one_at_a_time(self, monkeypatch):
+        # a chunk whose pass raises is walked again one candidate at a time,
+        # so the search raises only where the one-at-a-time loop would
+        def fail(kern, rows):
+            raise RuntimeError("substep budget")
+
+        sysm, cls, T, opts = self.CASES["nodes_arb_T0.4"]()
+        value, witness = reference_gain_search(sysm, cls, T, **opts)
+        monkeypatch.setattr(l2gain, "_riccati_rows", fail)
+        est = gain_search(sysm, cls, T, **opts)
+        assert est.value.hex() == value.hex()
+        assert est.witness_signal.segments == witness.segments
+
+
 class TestIncumbentCost:
     """Counts, not wall clock: Riccati tests below an incumbent a candidate failed."""
 
     def test_defaults_query(self, monkeypatch):
-        runs = []    # per bisection: [incumbent, gammas tested, result]
+        # per bisection: [signal, incumbent, decisions handed in, probes
+        # before it, gammas tested, result]; per incumbent probe: [signal,
+        # gamma, passed, best gain so far]
+        runs, probes, passes = [], [], []
         bisection = l2gain._bisection
-        feasible, sweep = l2gain._riccati_feasible, l2gain._riccati_sweep
+        feasible, sweep, rows = l2gain._riccati_feasible, l2gain._riccati_sweep, l2gain._riccati_rows
 
-        def traced_bisection(kern, rev, tol, incumbent=None):
-            runs.append([incumbent, []])
-            runs[-1].append(bisection(kern, rev, tol, incumbent))
-            return runs[-1][2]
+        def traced_bisection(kern, rev, tol, incumbent=None, decided=None):
+            runs.append([rev, incumbent, dict(decided or {}), len(probes), []])
+            runs[-1].append(bisection(kern, rev, tol, incumbent, decided))
+            return runs[-1][5]
+
+        def best():
+            return max((run[5] for run in runs if len(run) == 6), default=None)
 
         def traced_feasible(kern, rev, gamma):
-            runs[-1][1].append(gamma)
-            return feasible(kern, rev, gamma)
+            passed = feasible(kern, rev, gamma)
+            if runs and len(runs[-1]) == 5:
+                runs[-1][4].append(gamma)
+            else:
+                probes.append([rev, gamma, passed, best()])
+            return passed
 
         def traced_sweep(kern, rev, gammas):
-            runs[-1][1].extend(gammas)
+            runs[-1][4].extend(gammas)
             return sweep(kern, rev, gammas)
+
+        def traced_rows(kern, batch):
+            passes.append(batch)
+            passed = rows(kern, batch)
+            probes.extend([rev, gamma, ok, best()] for (rev, gamma), ok in zip(batch, passed))
+            return passed
 
         monkeypatch.setattr(l2gain, "_bisection", traced_bisection)
         monkeypatch.setattr(l2gain, "_riccati_feasible", traced_feasible)
         monkeypatch.setattr(l2gain, "_riccati_sweep", traced_sweep)
+        monkeypatch.setattr(l2gain, "_riccati_rows", traced_rows)
         est = gain_search(rotated_nodes_pair(), SignalClassSpec.dwell(0.5), 3.0)
         assert est.value == float.fromhex("0x1.0a96000000000p+3")
-        failed = [(best, gammas) for best, gammas, value in runs if best and value is not None]
+        assert probes and all(gamma == at for _, gamma, _, at in probes)
+        # a candidate is bisected at an incumbent only after its last probe,
+        # there, failed: that failure is the first decision, handed in, and
+        # no gamma at or below it is decided again
+        failed = [run for run in runs if run[1]]
         assert failed
-        for best, gammas in failed:
-            assert gammas[0] == best
-            assert all(g > best for g in gammas[1:])
-        # 268 when each bisection started afresh after its incumbent probe
-        assert sum(len(gammas) for _, gammas, _ in runs) <= 218
+        for rev, incumbent, decided, before, gammas, _ in failed:
+            assert [p[1:3] for p in probes[:before] if p[0] is rev][-1] == [incumbent, False]
+            assert decided == {incumbent: False}
+            assert all(g > incumbent for g in gammas)
+        # one-gamma tests plus row passes: 268 when each bisection started
+        # afresh after its incumbent probe, 218 one-gamma tests when the
+        # probe was its first decision, 207 with the probes in row passes
+        tests = sum(len(run[4]) for run in runs)
+        tests += len(probes) - sum(len(batch) for batch in passes)
+        assert tests + len(passes) <= 218
 
     def test_sweep_skips_values_below_the_incumbent(self, monkeypatch):
         sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
@@ -487,11 +618,15 @@ class TestBisectionProbes:
 
     def test_gain_search(self, monkeypatch):
         calls = recording(monkeypatch, l2gain, "_riccati_feasible")
+        passes = recording(monkeypatch, l2gain, "_riccati_rows")
         est = gain_search(rotated_nodes_pair(), SignalClassSpec.dwell(0.5), 3.0,
                           max_switches=2, eval_budget=30)
-        # three bisections, one probe fewer each than before; the third fails
-        # its incumbent 3.034 and no longer tests 2.0 and 3.0 below it (69)
-        assert len(calls) == 67
+        # one-gamma tests plus row passes: 67 one-gamma tests when every
+        # incumbent probe was its own test (three bisections, one probe fewer
+        # each than before; the third fails its incumbent 3.034 and no longer
+        # tests 2.0 and 3.0 below it: 69); the probes now take 8 row passes
+        # (20 rows) and 17 one-gamma tests, and the bisections 32
+        assert len(calls) + len(passes) == 57
         assert est.value == float.fromhex("0x1.b84c000000000p+1")
         assert est.witness_signal.segments == ((1, 1.5), (0, 1.5))
 
