@@ -164,7 +164,7 @@ def _run_rho(args):
         return 0
     if args.tau is None:
         raise ValueError("rho requires --tau or --tau-grid")
-    cls = SignalClassSpec.dwell(args.tau) if args.tau > 0 else SignalClassSpec.arbitrary()
+    cls = SignalClassSpec.from_tau(args.tau)
     est = spectral.rho_estimate(sysm, cls, search_opts=search, upper_opts=_upper_opts(args))
     _emit(_json(est.to_dict()), args.out)
     return 0
@@ -193,8 +193,7 @@ def _run_gain(args):
     if args.tau_grid:
         lines = ["tau,T,gain_lower"]
         for tau in (float(v) for v in args.tau_grid.split(",")):
-            cls = SignalClassSpec.dwell(tau) if tau > 0 else SignalClassSpec.arbitrary()
-            est = l2gain.gain_search(sysm, cls, args.T, **kwargs)
+            est = l2gain.gain_search(sysm, SignalClassSpec.from_tau(tau), args.T, **kwargs)
             lines.append(f"{tau!r},{args.T!r},{est.value!r}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0

@@ -41,6 +41,10 @@ __all__ = [
 _KINDS = ("arbitrary", "dwell", "avg_dwell", "pers_exc", "lipschitz", "bv")
 
 
+def _positive_finite(*values):
+    return all(v is not None and 0 < v < math.inf for v in values)
+
+
 def _freeze(arr):
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
@@ -130,26 +134,39 @@ class SignalClassSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown signal class kind {self.kind!r}")
         if self.kind == "dwell":
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("dwell class requires tau > 0")
+            if not _positive_finite(self.tau):
+                raise ValueError(f"dwell class requires finite tau > 0, got {self.tau!r}")
         elif self.kind == "avg_dwell":
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("avg_dwell class requires tau > 0")
+            if not _positive_finite(self.tau):
+                raise ValueError(f"avg_dwell class requires finite tau > 0, got {self.tau!r}")
             if self.n0 is None or self.n0 < 1 or int(self.n0) != self.n0:
                 raise ValueError("avg_dwell class requires positive integer N0")
         elif self.kind == "pers_exc":
-            if self.T is None or self.mu is None or not (0 < self.mu <= self.T):
-                raise ValueError("pers_exc class requires 0 < mu <= T")
+            if not (_positive_finite(self.T, self.mu) and self.mu <= self.T):
+                raise ValueError("pers_exc class requires 0 < mu <= T, both finite")
         elif self.kind == "lipschitz":
-            if self.L is None or self.L <= 0:
-                raise ValueError("lipschitz class requires L > 0")
+            if not _positive_finite(self.L):
+                raise ValueError(f"lipschitz class requires finite L > 0, got {self.L!r}")
         elif self.kind == "bv":
-            if self.T is None or self.T <= 0 or self.nu is None or self.nu <= 0:
-                raise ValueError("bv class requires T > 0 and nu > 0")
+            if not _positive_finite(self.T, self.nu):
+                raise ValueError("bv class requires finite T > 0 and nu > 0")
 
     @staticmethod
     def arbitrary():
         return SignalClassSpec("arbitrary")
+
+    @staticmethod
+    def from_tau(tau):
+        """The class of dwell floor tau: dwell if tau > 0, arbitrary if tau == 0.
+
+        Any other tau (negative, NaN or infinite) raises ValueError.
+        """
+        tau = float(tau)
+        if tau == 0:
+            return SignalClassSpec.arbitrary()
+        if not _positive_finite(tau):
+            raise ValueError(f"tau must be 0 (arbitrary) or finite and positive, got {tau!r}")
+        return SignalClassSpec.dwell(tau)
 
     @staticmethod
     def dwell(tau):

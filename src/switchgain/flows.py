@@ -39,7 +39,7 @@ ends, as Signal.mode_at bisects them.
 _expm_stack is a batched exponential: Pade degree 13 with scaling and
 squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005) on a (K, N, N) stack
 in one pass of numpy calls.  Its cost is mostly per call, so it pays for
-stacks of more than a few matrices; l2gain's Riccati sweep builds every
+stacks of more than a few matrices; l2gain's Riccati row pass builds every
 whole-segment exponential of a backward pass with it.
 """
 

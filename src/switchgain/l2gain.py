@@ -45,26 +45,24 @@ exact flow over the rest of a segment proves that X turned singular, that
 is, an escape, before t.  It is trusted only when X(t) is far enough from
 singular that rounding cannot flip the sign.
 
-Three schedules apply this rule, with one copy of each of its parts: the
+Two schedules apply this rule, with one copy of each of its parts: the
 bound (escape_bounds), the trial (_escapes) and the step with its guard
 and halving (_substep).  _riccati_feasible tests one gamma segment after
-segment, on stacks of one.  _riccati_rows runs many such tests, each a
-(signal, gamma) row, in lockstep: at each segment index the live rows
-pass through _certify as one stack, so every row gets the substep rule of
-the one-gamma test.  On signals of _SWEEP_SEGMENTS segments or more,
-_riccati_sweep decides a stack of gammas in one backward pass: it chains
-whole-segment steps P -> Y X^-1 for every gamma (the flow is exact
-whenever the segment holds no escape), with the exponentials of all
-(segment, gamma) pairs from one batched Pade call, and then certifies
-every pair from the P the chain gave at its start.  A pair whose segment
-lies within half the escape-time bound holds no escape; the others run the
-substep rule and the trial above (_certify), all pairs at once.  The
-argument is the same per gamma: a gamma passes only if no segment of its
-chain can hold an escape and |P| stays below ESCAPE_NORM.  The bracket
-search and the bisection decide several gammas per sweep (the powers of two
-near the one needed, the 2^3 - 1 midpoints of the next three bisection
-steps) and then walk the same dyadic path as one gamma at a time, so the
-returned value is the same.
+segment, on stacks of one.  _riccati_rows decides many (signal, gamma)
+rows in one backward pass: it chains whole-segment steps P -> Y X^-1 for
+every row (the flow is exact whenever the segment holds no escape), with
+the exponentials of all (segment, row) pairs from one batched Pade call,
+and then certifies every pair from the P the chain gave at its start.  A
+pair whose segment lies within half the escape-time bound holds no
+escape; the others run the substep rule and the trial above (_certify),
+all pairs at once.  The argument is the same per row: a row passes only if
+no segment of its chain can hold an escape and |P| stays below
+ESCAPE_NORM, and its first failure in backward order is the one the
+one-gamma test meets.  The bracket search and the bisection decide several
+gammas per pass on signals of _SWEEP_SEGMENTS segments or more (the powers
+of two near the one needed, the 2^3 - 1 midpoints of the next three
+bisection steps) and then walk the same dyadic path as one gamma at a
+time, so the returned value is the same.
 
 _bisection is the one bisection, for gain_for_signal and for each
 gain_search candidate.  A candidate's first decision is at the incumbent,
@@ -365,6 +363,12 @@ _STACK_MIN = 3
 _SUBSTEP_BUDGET = 2000
 
 
+def _budget_error(gamma, rev_segs, seg):
+    """The error of a test at gamma past _SUBSTEP_BUDGET on rev_segs[seg]."""
+    return RuntimeError(f"Riccati test at gamma={float(gamma)!r} took more than "
+                        f"{_SUBSTEP_BUDGET} substeps on segment {len(rev_segs) - 1 - seg}")
+
+
 def _riccati_feasible(kern, rev_segs, gamma):
     """True when the backward Riccati equation stays bounded on the horizon.
 
@@ -388,9 +392,7 @@ def _riccati_feasible(kern, rev_segs, gamma):
             tried = False
             for substeps in itertools.count(1):
                 if substeps > _SUBSTEP_BUDGET:
-                    raise RuntimeError(
-                        f"Riccati test at gamma={float(gamma)!r} took more than "
-                        f"{_SUBSTEP_BUDGET} substeps on segment {len(rev_segs) - 1 - seg}")
+                    raise _budget_error(gamma, rev_segs, seg)
                 h = min(left, 0.5 * float(kern.escape_bounds(mode, qs, P)[0]))
                 if h < left and not tried:
                     tried = True
@@ -464,127 +466,96 @@ def _certify(kern, modes, q, P, H, E, dt, bound):
 _PASSED, _ESCAPED, _EXHAUSTED = 0, 1, 2
 
 
-def _riccati_sweep(kern, rev_segs, gammas):
-    """For each gamma, True when the backward Riccati equation stays bounded.
+def _riccati_rows(kern, rows):
+    """For each row (reversed segments, gamma), _riccati_feasible's decision.
 
-    One backward pass decides every gamma.  On a segment with constant
-    mode the Riccati flow is exact, [X; Y] = expm(H dt) [I; P] and P =
-    Y X^-1, as long as it does not escape inside the segment, so the pass
-    first chains whole-segment steps for every gamma, with the exponentials
-    of all (segment, gamma) pairs built in one batch; a gamma leaves the
-    chain once |P| reaches ESCAPE_NORM, and a step whose X is not finite or
-    has cond(X) >= _COND_MAX is replaced by _certify's substeps.  Then every
-    pair up to there is certified from the P the chain gave at its start:
-    one batched bound decides the pairs whose segment lies within half the
-    escape-time bound (no escape inside), and _certify runs the substep
-    rule on the others, all of them at once.  A gamma is feasible when none
-    of its pairs fails.  Its first failure in backward order decides as the
-    one-gamma test would: more than _SUBSTEP_BUDGET substeps there raise
-    RuntimeError, later pairs start from a chain that may have crossed an
-    escape and do not count.
+    One backward pass decides every row, whatever its signal and length.  On
+    a segment with constant mode the Riccati flow is exact, [X; Y] =
+    expm(H dt) [I; P] and P = Y X^-1, as long as it does not escape inside
+    the segment, so the pass first chains whole-segment steps for every row,
+    with the exponentials of all (segment, row) pairs built in one batch; a
+    row leaves the chain after its last segment or once |P| reaches
+    ESCAPE_NORM, and a step whose X is not finite or has cond(X) >=
+    _COND_MAX is replaced by _certify's substeps, where a failure also ends
+    the row's chain.  Then every pair up to there is certified from the P the
+    chain gave at its start: one batched bound decides the pairs whose
+    segment lies within half the escape-time bound (no escape inside), and
+    _certify runs the substep rule on the others, all of them at once.  A row
+    passes when none of its pairs fails.  Its first failure in backward order
+    decides as the one-gamma test would: more than _SUBSTEP_BUDGET substeps
+    there raise RuntimeError, later pairs start from a chain that may have
+    crossed an escape and do not count.
     """
-    gammas = np.asarray(gammas, dtype=float)
+    lens = np.array([len(rev) for rev, _ in rows], dtype=int)
     n = kern.n
-    if n == 0 or not rev_segs:
-        return np.ones(len(gammas), dtype=bool)
-    q = 1.0 / (gammas * gammas)
-    modes = np.array([i for _, i in rev_segs])
-    dts = np.array([dt for dt, _ in rev_segs])
-    H = kern.H0[modes][:, None] + q[:, None, None] * kern.Hq[modes][:, None]
+    if n == 0 or not lens.any():
+        return np.ones(len(rows), dtype=bool)
+    q = np.array([1.0 / (gamma * gamma) for _, gamma in rows])
+    # pairs (segment index, row), padded with (0.0, 0) past a row's end
+    pairs = np.array(list(itertools.zip_longest(*(rev for rev, _ in rows), fillvalue=(0.0, 0))))
+    dts, modes = pairs[..., 0], pairs[..., 1].astype(int)
+    H = kern.H0[modes] + q[:, None, None] * kern.Hq[modes]
+    inside = np.arange(len(pairs))[:, None] < lens
     # per pair: P at the segment start, whether _certify ran, and its status
-    starts = np.zeros((len(rev_segs),) + (len(gammas), n, n))
-    certified = np.zeros((len(rev_segs), len(gammas)), dtype=bool)
-    status = np.full((len(rev_segs), len(gammas)), _PASSED)
-    stop = np.full(len(gammas), len(rev_segs))    # where each gamma left the chain
-    alive = np.arange(len(gammas))
-    P = np.zeros((len(gammas), n, n))
+    starts = np.zeros(modes.shape + (n, n))
+    certified = np.zeros(modes.shape, dtype=bool)
+    status = np.full(modes.shape, _PASSED)
+    stop = lens.copy()    # where each row left the chain
+    ends = set(lens.tolist())
+    alive = np.flatnonzero(lens)
+    P = np.zeros((len(alive), n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # X and Y are tested for finiteness
-        whole = _exponentials(H.reshape(-1, 2 * n, 2 * n), np.repeat(dts, len(gammas)))
-        whole = whole.reshape(H.shape)
-        for seg, (dt, i) in enumerate(rev_segs):
+        whole = np.empty_like(H)
+        whole[inside] = _exponentials(H[inside], dts[inside])
+        for seg in range(len(pairs)):
             starts[seg, alive] = P
             E = whole[seg, alive]
             P_next, ok = _hamiltonian_step(E, P)
             if not ok.all():
                 bad = alive[~ok]
                 P_next[~ok], status[seg, bad] = _certify(
-                    kern, np.full(len(bad), i), q[bad], P[~ok], H[seg, bad], E[~ok],
-                    np.full(len(bad), dt), kern.escape_bounds(np.full(len(bad), i), q[bad], P[~ok]))
+                    kern, modes[seg, bad], q[bad], P[~ok], H[seg, bad], E[~ok], dts[seg, bad],
+                    kern.escape_bounds(modes[seg, bad], q[bad], P[~ok]))
                 certified[seg, bad] = True
             keep = np.einsum("kij,kij->k", P_next, P_next) < ESCAPE_NORM * ESCAPE_NORM
             status[seg, alive[~keep & (status[seg, alive] == _PASSED)]] = _ESCAPED
             keep &= status[seg, alive] == _PASSED
+            stop[alive[~keep]] = seg
+            if seg + 1 in ends:
+                keep &= lens[alive] > seg + 1
             if keep.all():
                 P = P_next
             else:
-                stop[alive[~keep]] = seg
                 alive, P = alive[keep], P_next[keep]
                 if not alive.size:
                     break
-        # certify every pair before each gamma left the chain
-        seg_of, g_of = np.nonzero(~certified & (np.arange(len(rev_segs))[:, None] < stop))
+        # certify every pair before each row left the chain
+        seg_of, row_of = np.nonzero(~certified & (np.arange(len(pairs))[:, None] < stop))
         if seg_of.size:
-            Ps = starts[seg_of, g_of]
-            bound = kern.escape_bounds(modes[seg_of], q[g_of], Ps)
-            hard = 0.5 * bound < dts[seg_of]
+            Ps = starts[seg_of, row_of]
+            bound = kern.escape_bounds(modes[seg_of, row_of], q[row_of], Ps)
+            hard = 0.5 * bound < dts[seg_of, row_of]
             if hard.any():
-                seg_of, g_of = seg_of[hard], g_of[hard]
-                _, status[seg_of, g_of] = _certify(
-                    kern, modes[seg_of], q[g_of], Ps[hard], H[seg_of, g_of],
-                    whole[seg_of, g_of], dts[seg_of], bound[hard])
+                seg_of, row_of = seg_of[hard], row_of[hard]
+                _, status[seg_of, row_of] = _certify(
+                    kern, modes[seg_of, row_of], q[row_of], Ps[hard], H[seg_of, row_of],
+                    whole[seg_of, row_of], dts[seg_of, row_of], bound[hard])
     failed = status != _PASSED
     first = failed.argmax(axis=0)
-    exhausted = failed.any(axis=0) & (status[first, np.arange(len(gammas))] == _EXHAUSTED)
+    exhausted = failed.any(axis=0) & (status[first, np.arange(len(rows))] == _EXHAUSTED)
     if exhausted.any():
-        k = int(np.flatnonzero(exhausted)[0])
-        raise RuntimeError(f"Riccati test at gamma={float(gammas[k])!r} took more than "
-                           f"{_SUBSTEP_BUDGET} substeps on segment {len(rev_segs) - 1 - first[k]}")
+        r = int(np.flatnonzero(exhausted)[0])
+        raise _budget_error(rows[r][1], rows[r][0], first[r])
     return ~failed.any(axis=0)
 
 
-def _riccati_rows(kern, rows):
-    """For each row (reversed segments, gamma), _riccati_feasible's decision.
-
-    Every row is a one-gamma test, and all of them advance together, one
-    segment index at a time: the rows still alive that have a segment there
-    go through _certify as one stack, from the escape-time bound at their P,
-    so each row runs the substep rule as the one-gamma test does.  A row that
-    escapes fails; a row past _SUBSTEP_BUDGET substeps on a segment raises
-    RuntimeError as the one-gamma test would.
-    """
-    passed = np.ones(len(rows), dtype=bool)
-    n = kern.n
-    if n == 0:
-        return passed
-    q = np.array([1.0 / (gamma * gamma) for _, gamma in rows])
-    P = np.zeros((len(rows), n, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # X and Y are tested for finiteness
-        for seg in itertools.count():
-            live = np.array([r for r, (rev, _) in enumerate(rows) if passed[r] and seg < len(rev)],
-                            dtype=int)
-            if not live.size:
-                break
-            dts = np.array([rows[r][0][seg][0] for r in live])
-            modes = np.array([rows[r][0][seg][1] for r in live])
-            H = kern.H0[modes] + q[live, None, None] * kern.Hq[modes]
-            P[live], status = _certify(kern, modes, q[live], P[live], H, _exponentials(H, dts),
-                                       dts, kern.escape_bounds(modes, q[live], P[live]))
-            passed[live[status != _PASSED]] = False
-            exhausted = live[status == _EXHAUSTED]
-            if exhausted.size:
-                rev, gamma = rows[exhausted[0]]
-                raise RuntimeError(f"Riccati test at gamma={float(gamma)!r} took more than "
-                                   f"{_SUBSTEP_BUDGET} substeps on segment {len(rev) - 1 - seg}")
-    return passed
-
-
-# segments from which a sweep over several gammas beats one test per gamma
+# segments from which one row pass over several gammas beats one test per gamma
 # (gain_for_signal on the nodes pair, 2-vCPU Xeon: 4 segments 1.33x slower,
 # 8 segments 2.1x faster)
 _SWEEP_SEGMENTS = 8
 # powers of two decided on each side of the one the bracket search needs
 _BRACKET_WINDOW = 3
-# bisection steps decided per sweep: 2^depth - 1 midpoints
+# bisection steps decided per pass: 2^depth - 1 midpoints
 _BISECTION_DEPTH = 3
 
 
@@ -607,9 +578,9 @@ def _bisection(kern, rev_segs, tol, incumbent=None, decided=None):
     value does not depend on the incumbent.  decided holds decisions already
     taken (gamma -> bool), which are not taken again: gain_search passes the
     incumbent probe that failed.  On a signal of _SWEEP_SEGMENTS segments or
-    more, each decision comes from one sweep over the gamma asked for and the
-    open values the search lists next; on a shorter one, from the test of that
-    gamma alone.
+    more, each decision comes from one _riccati_rows pass over the gamma asked
+    for and the open values the search lists next; on a shorter one, from the
+    test of that gamma alone.
     """
     if all(kern.silent[i] for _, i in rev_segs):
         return 0.0
@@ -624,7 +595,8 @@ def _bisection(kern, rev_segs, tol, incumbent=None, decided=None):
             if len(rev_segs) >= _SWEEP_SEGMENTS:
                 gammas = [gamma] + [g for g in batch()
                                     if g > floor and g != gamma and g not in decided]
-                decided.update(zip(gammas, _riccati_sweep(kern, rev_segs, gammas).tolist()))
+                rows = [(rev_segs, g) for g in gammas]
+                decided.update(zip(gammas, _riccati_rows(kern, rows).tolist()))
             else:
                 decided[gamma] = _riccati_feasible(kern, rev_segs, gamma)
         return decided[gamma]
@@ -636,8 +608,8 @@ def _bisection(kern, rev_segs, tol, incumbent=None, decided=None):
 
     # canonical dyadic bracket: the smallest feasible power of two, so the
     # bisection sequence (hence the returned value) does not depend on the
-    # incumbent; nested search sweeps then reproduce identical values.
-    # Each sweep also decides the powers within _BRACKET_WINDOW of the one
+    # incumbent; nested searches then reproduce identical values.
+    # Each pass also decides the powers within _BRACKET_WINDOW of the one
     # needed, inside the range the search may probe: 2^-40 to 2^(m0 + 60)
     m0 = math.ceil(math.log2(max(incumbent or 1.0, 1.0)))
 
@@ -656,7 +628,7 @@ def _bisection(kern, rev_segs, tol, incumbent=None, decided=None):
     hi = 2.0 ** m
     lo = 0.0
     # the bracket search decided 2^(m-1), the first midpoint, unless the
-    # downward search stopped at the floor; each later sweep decides the
+    # downward search stopped at the floor; each later pass decides the
     # midpoints of the next _BISECTION_DEPTH steps on every path
     while hi - lo > tol * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
@@ -855,9 +827,10 @@ def gain_search(
 
     The result is that of evaluating the candidates one at a time: each is
     first tested at the best gain so far (the incumbent probe), skipped when
-    that passes and bisected otherwise.  Those probes are taken in chunks,
-    one _riccati_rows pass per chunk at the running best, the chunk doubling
-    while every probe in it passes.  A failed probe is the first decision of
+    that passes and bisected otherwise.  Those probes are taken in chunks at
+    the running best, one _riccati_rows pass per chunk (a _riccati_feasible
+    test for a chunk of one), the chunk doubling while every probe in it
+    passes.  A failed probe is the first decision of
     its candidate's bisection.  If the bisection raises the best, the
     decisions after it in the chunk, taken at the old best, are dropped, so
     each candidate is decided at the best of its turn, as one at a time.
@@ -1023,15 +996,20 @@ def tau_min(
     """Bracket the minimal dwell time via bisection on the rho trichotomy.
 
     Each tau is classified from rho_lower at its defaults and rho_upper with
-    upper_opts.  Requires rho(tau_lo) >= 1 (reject side) and a certified
-    rho(tau_hi) < 1 (accept side).  An undecided tau is retried once with
+    upper_opts.  Requires finite 0 <= tau_lo < tau_hi, rho(tau_lo) >= 1
+    (reject side) and a certified rho(tau_hi) < 1 (accept side).  An undecided tau is retried once with
     half the grid step delta and twice the budget (those of upper_opts, or
     certification_grid's defaults); undecided midpoints then fall back to
     quarter-point probing, and a persistent undecided zone returns the wider
     interval with an 'undecided_zone' flag.  The bisection stops at width
-    tol or after 60 steps.
+    tol (positive and finite) or after 60 steps.
     """
     tau_lo, tau_hi = float(bracket[0]), float(bracket[1])
+    for name, value in (("tau_lo", tau_lo), ("tau_hi", tau_hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not (0 <= tau_lo < tau_hi):
         raise ValueError("bracket must satisfy 0 <= tau_lo < tau_hi")
     minreal = minimal_realization(sys)
@@ -1040,7 +1018,7 @@ def tau_min(
     ms = minreal.sys_min
 
     def classify(tau):
-        cls = SignalClassSpec.dwell(tau) if tau > 0 else SignalClassSpec.arbitrary()
+        cls = SignalClassSpec.from_tau(tau)
         # the boosted retry changes only the upper bound's options, so it
         # reuses the lower estimate
         lower_est = rho_lower(ms, cls)

@@ -926,13 +926,13 @@ def rho_curve(sys: SystemSpec, taus, *, with_upper=False, search_opts=None,
     the right-to-left running maximum is reported alongside as the envelope.
     """
     taus = tuple(float(t) for t in taus)
-    if any(t < 0 for t in taus) or list(taus) != sorted(taus):
-        raise ValueError("tau values must be nonnegative and sorted ascending")
+    classes = [SignalClassSpec.from_tau(t) for t in taus]
+    if list(taus) != sorted(taus):
+        raise ValueError("tau values must be sorted ascending")
     ests: list[RhoEstimate | None] = [None] * len(taus)
     carried: list[Signal] = []
     for idx in range(len(taus) - 1, -1, -1):
-        tau = taus[idx]
-        cls = SignalClassSpec.dwell(tau) if tau > 0 else SignalClassSpec.arbitrary()
+        cls = classes[idx]
         est = rho_lower(sys, cls, **(search_opts or {}))
         for w in carried:
             val = _signal_rate(sys, w)

@@ -58,6 +58,16 @@ class TestRho:
             "0.5,2.728941919479467,2.728941919479467,4.110134162934218\n"
             "2.0,0.637169811666148,0.637169811666148,3.230009717690357\n")
 
+    @pytest.mark.parametrize("argv", [["--tau", "-0.5"], ["--tau", "nan"],
+                                      ["--tau-grid", "nan,0.5"], ["--tau-grid=-0.5,0.5"]])
+    def test_invalid_tau_rejected(self, scalar_system_file, argv, capsys):
+        # unchecked, --tau -0.5 and nan printed the tau = 0 estimate and a
+        # NaN in the grid printed a nan row
+        assert main(["rho", "--system", scalar_system_file] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tau must be 0 (arbitrary) or finite and positive" in captured.err
+
     def test_missing_tau_is_error(self, scalar_system_file):
         assert main(["rho", "--system", scalar_system_file]) == 1
 
@@ -122,6 +132,15 @@ class TestGain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --grid-step {float(step)!r} must be below --T 1.0" in captured.err
+
+    @pytest.mark.parametrize("grid", ["-0.5,nan,0", "0,nan", "0,inf"])
+    def test_invalid_tau_grid_rejected(self, scalar_system_file, grid, capsys):
+        # unchecked, -0.5 and nan gave rows with the arbitrary class's gain
+        assert main(["gain", "--system", scalar_system_file, "--T", "1", "--max-switches", "1",
+                     f"--tau-grid={grid}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tau must be 0 (arbitrary) or finite and positive" in captured.err
 
     def test_tau_grid_csv(self, tmp_path):
         path = tmp_path / "nodes.json"
@@ -239,6 +258,20 @@ class TestTauMinCommand:
         assert 0.6 <= doc["tau_reject"] <= doc["tau_accept"] <= 2.0
         assert doc["width"] <= 0.05
 
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--tau-hi", "inf"], "tau_hi must be finite"),
+        (["--tau-hi", "2.0", "--tol", "nan"], "tol must be positive and finite"),
+        (["--tau-hi", "2.0", "--tol", "0"], "tol must be positive and finite"),
+        (["--tau-hi", "2.0", "--tol", "-0.1"], "tol must be positive and finite"),
+    ])
+    def test_bad_bracket_or_tol_rejected(self, scalar_system_file, flags, name, capsys):
+        # unchecked, --tau-hi inf failed on a signal segment and a NaN or
+        # nonpositive --tol ran all 60 bisection steps
+        assert main(["taumin", "--system", scalar_system_file, "--tau-lo", "0.5"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name}" in captured.err
 
     def test_undecided_zone_exits_two(self, tmp_path, monkeypatch):
         # every tau in (1.0, 1.5) undecided: the bisection stops with the flag

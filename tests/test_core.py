@@ -269,6 +269,35 @@ class TestClassSpecValidation:
         with pytest.raises(ValueError):
             bad()
 
+    # unchecked, NaN passed every `<= 0` test: dwell(nan) accepted two
+    # 1e-6-long segments as a member
+    @pytest.mark.parametrize("bad", [
+        lambda: SignalClassSpec.dwell(math.nan),
+        lambda: SignalClassSpec.dwell(math.inf),
+        lambda: SignalClassSpec.avg_dwell(math.nan, 1),
+        lambda: SignalClassSpec.avg_dwell(math.inf, 2),
+        lambda: SignalClassSpec.pers_exc(math.inf, 1.0),
+        lambda: SignalClassSpec.lipschitz(math.nan),
+        lambda: SignalClassSpec.lipschitz(math.inf),
+        lambda: SignalClassSpec.bv(math.nan, 1.0),
+        lambda: SignalClassSpec.bv(1.0, math.nan),
+        lambda: SignalClassSpec.bv(math.inf, 1.0),
+    ], ids=["dwell_nan", "dwell_inf", "avg_dwell_nan", "avg_dwell_inf", "pers_exc_inf",
+            "lipschitz_nan", "lipschitz_inf", "bv_T_nan", "bv_nu_nan", "bv_T_inf"])
+    def test_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bad()
+
+    def test_from_tau(self):
+        assert SignalClassSpec.from_tau(0) == SignalClassSpec.arbitrary()
+        assert SignalClassSpec.from_tau(-0.0) == SignalClassSpec.arbitrary()
+        assert SignalClassSpec.from_tau(0.5) == SignalClassSpec.dwell(0.5)
+
+    @pytest.mark.parametrize("tau", [-0.5, math.nan, math.inf, -math.inf])
+    def test_from_tau_rejects(self, tau):
+        with pytest.raises(ValueError, match="^tau must be 0"):
+            SignalClassSpec.from_tau(tau)
+
     def test_arbitrary_accepts_everything(self):
         sig = Signal(((0, 1e-4), (1, 1e-4)))
         assert validate_membership(sig, SignalClassSpec.arbitrary()).ok

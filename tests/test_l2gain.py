@@ -31,7 +31,6 @@ from switchgain.l2gain import (
     _reversed_segments,
     _riccati_feasible,
     _riccati_rows,
-    _riccati_sweep,
     _RiccatiKernel,
 )
 from switchgain.spectral import rho_curve
@@ -222,19 +221,19 @@ class TestRiccatiKernelParity:
 
     @pytest.mark.parametrize("name", PARITY_CASES)
     def test_sweep_decisions_match_scalar_test(self, name):
-        """One sweep over a dense grid around the gain decides as the one-gamma test."""
+        """One row pass over a dense grid around the gain decides as the one-gamma test."""
         sysm, sig, T = PARITY_CASES[name]()
         rev = _reversed_segments(sig, T)
         gain = gain_for_signal(sysm, sig, T, tol=self.TOL).value
         kern = _RiccatiKernel(sysm, T)
         grid = [gain * (1.0 + f) for f in np.linspace(-0.1, 0.1, 41)] + [gain * 0.5, gain * 2.0]
         scalar = [_riccati_feasible(kern, rev, gamma) for gamma in grid]
-        assert _riccati_sweep(kern, rev, grid).tolist() == scalar
+        assert _riccati_rows(kern, [(rev, g) for g in grid]).tolist() == scalar
         # the stack holds feasible and infeasible values (b_zero has zero
         # transfer: every gamma passes), and each decides alone as it does in
         # the stack
         assert any(scalar) and (name == "b_zero") == all(scalar)
-        assert [bool(_riccati_sweep(kern, rev, [g])[0]) for g in grid[::8]] == scalar[::8]
+        assert [bool(_riccati_rows(kern, [(rev, g)])[0]) for g in grid[::8]] == scalar[::8]
 
 
 class TestStepBoundRegressions:
@@ -271,13 +270,13 @@ class TestStepBoundRegressions:
 
 
 class TestSweepCost:
-    """Counts, not wall clock: sweeps per bisection and the substep budget."""
+    """Counts, not wall clock: row passes per bisection and the substep budget."""
 
     def test_sweeps_per_gain(self, monkeypatch):
         sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
-        calls = recording(monkeypatch, l2gain, "_riccati_sweep")
+        calls = recording(monkeypatch, l2gain, "_riccati_rows")
         gain_for_signal(sysm, sig, sig.horizon)
-        # one bracket sweep and three of the bisection's 11 steps; the
+        # one bracket pass and three of the bisection's 11 steps; the
         # sequential search made 15 single-gamma passes
         assert len(calls) <= 7
 
@@ -286,7 +285,7 @@ class TestSweepCost:
         # allows ~1e-4 per substep, and the scalar test took 17008 substeps
         sysm = single_mode([[-1.0, 1e4], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
         kern = _RiccatiKernel(sysm, 1.0)
-        for test in (lambda: _riccati_sweep(kern, [(1.0, 0)], [1e-9, 1.0]),
+        for test in (lambda: _riccati_rows(kern, [([(1.0, 0)], 1e-9), ([(1.0, 0)], 1.0)]),
                      lambda: _riccati_feasible(kern, [(1.0, 0)], 1e-9)):
             t0 = time.monotonic()
             with pytest.raises(RuntimeError, match=r"gamma=1e-09 .* segment 0"):
@@ -330,6 +329,33 @@ class TestRiccatiRows:
         rows = [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(rev[-1:], gain)]
         assert _riccati_rows(kern, rows).tolist() == [_riccati_feasible(kern, r, g)
                                                       for r, g in rows]
+
+    def test_mixed_lengths(self):
+        # rows of 1 to 5 segments beside rows of 200, in one pass; the long
+        # row at 1e-9 fails on its first segment backwards and leaves the
+        # chain there while the other long rows go on
+        sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
+        kern = _RiccatiKernel(sysm, sig.horizon)
+        long_rev = _reversed_segments(sig, sig.horizon)
+        rng = np.random.default_rng(5)
+        rows = []
+        for rev in [long_rev] + [_reversed_segments(random_signal(rng, 2, 1.5), 1.5)
+                                 for _ in range(4)]:
+            gain = l2gain._bisection(kern, rev, 1e-6)
+            rows += [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(rev, 1e-9)]
+        assert len(long_rev) == 200 and max(len(rev) for rev, _ in rows[5:]) <= 5
+        assert not _riccati_feasible(kern, long_rev[:1], 1e-9)
+        scalar = [_riccati_feasible(kern, rev, gamma) for rev, gamma in rows]
+        assert scalar[:5] == [False, False, True, True, False] and any(scalar[5:])
+        assert _riccati_rows(kern, rows).tolist() == scalar
+
+    def test_empty_rows_pass(self):
+        sysm = rotated_nodes_pair()
+        kern = _RiccatiKernel(sysm, 1.0)
+        assert _riccati_rows(kern, [([], 1.0)]).tolist() == [True]
+        assert _riccati_rows(kern, [([], 1e-9), ([(1.0, 0)], 1e-9), ([], 0.5)]).tolist() == \
+            [True, _riccati_feasible(kern, [(1.0, 0)], 1e-9), True]
+        assert _riccati_rows(kern, []).tolist() == []
 
     def test_substep_budget(self):
         # the system of TestSweepCost.test_substep_budget: near gamma = 1e-9
@@ -406,7 +432,7 @@ class TestIncumbentCost:
         # gamma, passed, best gain so far]
         runs, probes, passes = [], [], []
         bisection = l2gain._bisection
-        feasible, sweep, rows = l2gain._riccati_feasible, l2gain._riccati_sweep, l2gain._riccati_rows
+        feasible, rows = l2gain._riccati_feasible, l2gain._riccati_rows
 
         def traced_bisection(kern, rev, tol, incumbent=None, decided=None):
             runs.append([rev, incumbent, dict(decided or {}), len(probes), []])
@@ -424,19 +450,17 @@ class TestIncumbentCost:
                 probes.append([rev, gamma, passed, best()])
             return passed
 
-        def traced_sweep(kern, rev, gammas):
-            runs[-1][4].extend(gammas)
-            return sweep(kern, rev, gammas)
-
         def traced_rows(kern, batch):
-            passes.append(batch)
             passed = rows(kern, batch)
+            if runs and len(runs[-1]) == 5:
+                runs[-1][4].extend(gamma for _, gamma in batch)
+                return passed
+            passes.append(batch)
             probes.extend([rev, gamma, ok, best()] for (rev, gamma), ok in zip(batch, passed))
             return passed
 
         monkeypatch.setattr(l2gain, "_bisection", traced_bisection)
         monkeypatch.setattr(l2gain, "_riccati_feasible", traced_feasible)
-        monkeypatch.setattr(l2gain, "_riccati_sweep", traced_sweep)
         monkeypatch.setattr(l2gain, "_riccati_rows", traced_rows)
         est = gain_search(rotated_nodes_pair(), SignalClassSpec.dwell(0.5), 3.0)
         assert est.value == float.fromhex("0x1.0a96000000000p+3")
@@ -463,11 +487,12 @@ class TestIncumbentCost:
         kern = _RiccatiKernel(sysm, sig.horizon)
         gain = l2gain._bisection(kern, rev, 1e-4)
         assert l2gain._bisection(kern, rev, 1e-4, 1.1 * gain) is None
-        calls = recording(monkeypatch, l2gain, "_riccati_sweep")
+        calls = recording(monkeypatch, l2gain, "_riccati_rows")
         incumbent = 0.9 * gain
         assert l2gain._bisection(kern, rev, 1e-4, incumbent).hex() == gain.hex()
-        assert calls[0][2] == [incumbent]
-        assert all(g > incumbent for args in calls[1:] for g in args[2])
+        assert all(r is rev for args in calls for r, _ in args[1])
+        assert [g for _, g in calls[0][1]] == [incumbent]
+        assert all(g > incumbent for args in calls[1:] for _, g in args[1])
 
 
 class TestPowerLower:
@@ -815,6 +840,20 @@ class TestTauMin:
         sysm = single_mode([[0.2]], [[1.0]], [[1.0]])
         with pytest.raises(ValueError, match="bracket"):
             tau_min(sysm, (0.5, 3.0), 0.1)
+
+    @pytest.mark.parametrize("bracket, name", [((0.6, math.inf), "tau_hi"),
+                                               ((math.inf, math.inf), "tau_lo"),
+                                               ((math.nan, 2.0), "tau_lo")])
+    def test_non_finite_bracket_rejected(self, bracket, name):
+        # unchecked, tau_hi = inf failed later on a signal segment
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            tau_min(rotated_nodes_pair(), bracket)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.05])
+    def test_bad_tol_rejected(self, tol):
+        # unchecked, a NaN or nonpositive tol never ended the bisection
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            tau_min(rotated_nodes_pair(), (0.6, 2.0), tol)
 
     @pytest.mark.parametrize("upper_opts, rho_lower_calls, rho_upper_calls, bracket", [
         # tau 2.0 and 1.15 classify as accept; 0.6, 1.3 and 1.075 as reject;
