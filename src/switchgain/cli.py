@@ -14,7 +14,8 @@ import sys as _sys
 
 
 from . import gallery, l2gain, spectral
-from .core import SignalClassSpec, parse_signal, parse_system, serialize_system
+from .core import (SignalClassSpec, _check_positive_finite, parse_signal, parse_system,
+                   serialize_system)
 from .realization import check_uniform_observability, minimal_realization
 
 __all__ = ["main", "build_parser"]
@@ -111,8 +112,7 @@ def _load_system(path):
 
 def _class_from_args(args):
     if args.cls == "dwell":
-        if args.tau is None or args.tau <= 0:
-            raise ValueError("--class dwell requires --tau > 0")
+        _check_positive_finite("--tau", args.tau)
         return SignalClassSpec.dwell(args.tau)
     return SignalClassSpec.arbitrary()
 
@@ -123,8 +123,7 @@ def _upper_opts(args):
     for flag, key in (("grid_step", "delta"), ("horizon", "cap"), ("budget", "budget")):
         value = getattr(args, flag, None)
         if value is not None:
-            if not value > 0:
-                raise ValueError(f"--{flag.replace('_', '-')} must be positive")
+            _check_positive_finite(f"--{flag.replace('_', '-')}", value)
             opts[key] = value
     return opts
 
@@ -183,8 +182,7 @@ def _run_gain(args):
         return 0
     kwargs = {"max_switches": args.max_switches, "tol": args.tol}
     if args.grid_step is not None:
-        if not 0 < args.grid_step < math.inf:
-            raise ValueError("--grid-step must be positive and finite")
+        _check_positive_finite("--grid-step", args.grid_step)
         if args.grid_step >= args.T:
             # no switch time would fit in the horizon: only constant signals
             raise ValueError(f"--grid-step {args.grid_step!r} must be below --T {args.T!r}")

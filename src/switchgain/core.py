@@ -9,6 +9,9 @@ piecewise-constant carrier.  Boundary dwell counts: a signal is accepted for
 the dwell class only if every (mode-merged) segment, including the first and
 last one, lasts at least the dwell time, so that two valid signals always
 concatenate into a valid signal.
+
+Every public numeric argument that must be positive and finite goes through
+_check_positive_finite, which raises ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ _KINDS = ("arbitrary", "dwell", "avg_dwell", "pers_exc", "lipschitz", "bv")
 
 def _positive_finite(*values):
     return all(v is not None and 0 < v < math.inf for v in values)
+
+
+def _check_positive_finite(name, value):
+    """ValueError naming the argument unless value is positive and finite."""
+    if not _positive_finite(value):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _freeze(arr):
@@ -221,7 +230,7 @@ class Signal:
 
     @property
     def horizon(self):
-        return sum(d for _, d in self.segments)
+        return self.segment_ends[-1]
 
     def merged(self):
         """Same signal with adjacent equal-mode segments merged (no spurious switches)."""

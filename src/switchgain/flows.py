@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import Signal, SystemSpec
+from .core import Signal, SystemSpec, _check_positive_finite
 
 __all__ = ["Trajectory", "GramianPair", "transition", "gramians", "simulate",
            "trajectory_to_csv"]
@@ -102,7 +102,7 @@ class _Cursor:
         """Sub-intervals of [s, t] longer than 1e-14 with their active modes, in time order."""
         horizon = self.horizon
         tol = 1e-9 * max(1.0, horizon)
-        if s < -tol or t > horizon + tol or s > t + tol:
+        if not (-tol <= s <= t + tol and t <= horizon + tol):
             raise ValueError(f"interval [{s}, {t}] outside signal horizon [0, {horizon}]")
         ends = self.ends
         k = self.first if s >= self.s else 0
@@ -324,8 +324,7 @@ def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
         u = u.T
     if u.shape[1] != sys.m:
         raise ValueError(f"input samples must have {sys.m} columns, got {u.shape[1]}")
-    if not dt > 0:
-        raise ValueError("grid step must be positive")
+    _check_positive_finite("grid step dt", dt)
     steps = u.shape[0]
     horizon = sig.horizon
     if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mode, SystemSpec
+from .core import Mode, SystemSpec, _check_positive_finite
 
 __all__ = [
     "example_system",
@@ -39,8 +39,7 @@ __all__ = [
 
 def example_system(alpha: float) -> SystemSpec:
     """Three-mode example: two output-silent planar modes plus a coupling mode."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_positive_finite("alpha", alpha)
     a = float(alpha)
     A1 = [[-1.0, -a, 0.0], [a, -1.0, 0.0], [0.0, 0.0, -1.0]]
     A2 = [[-1.0, -a, 0.0], [1.0 / a, -1.0, 0.0], [0.0, 0.0, -1.0]]
@@ -58,8 +57,7 @@ def example_system(alpha: float) -> SystemSpec:
 
 def example_planar_pair(alpha: float) -> SystemSpec:
     """Upper-left 2x2 blocks of the first two example modes (B = 0, C = 0)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_positive_finite("alpha", alpha)
     a = float(alpha)
     A1 = np.array([[-1.0, -a], [a, -1.0]])
     A2 = np.array([[-1.0, -a], [1.0 / a, -1.0]])
@@ -99,8 +97,7 @@ def alpha_star(tol: float = 1e-4, *, bracket=(2.0, 6.0)) -> float:
     Bisection on the sign of r(alpha) - 1; returns a midpoint with
     |r(alpha) - 1| < tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_positive_finite("tol", tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     r_lo, r_hi = worst_turn_ratio(lo), worst_turn_ratio(hi)
     if not (r_lo < 1.0 < r_hi):

@@ -91,7 +91,7 @@ from scipy.linalg import expm
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .core import Signal, SignalClassSpec, SystemSpec, validate_membership
+from .core import Signal, SignalClassSpec, SystemSpec, _check_positive_finite, validate_membership
 from .flows import _Cursor, _expm_stack, _gram_block, _zoh_grid
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
 from .spectral import RhoEstimate, certification_grid, class_tau, rho_lower, rho_upper
@@ -654,8 +654,7 @@ def gain_for_signal(
     iteration on the grid of step T / 400 attaches a witness input and its
     energy ratio (none for a zero gain: no mode of the signal has an output).
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive_finite("tol", tol)
     if not 0 < T <= sig.horizon * (1 + 1e-9):
         raise ValueError(f"horizon T={T} outside the signal horizon {sig.horizon}")
     sig.check_modes(sys)
@@ -729,9 +728,8 @@ def gain_power_lower(
     pivots; each iteration is one forward and one transposed triangular solve
     plus the block-diagonal products with Gamma_k and C_k.
     """
-    for name, value in (("T", T), ("grid_step", grid_step)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _check_positive_finite("T", T)
+    _check_positive_finite("grid_step", grid_step)
     sig.check_modes(sys)
     phis, gams, cs, steps = _step_operators(sys, sig, T, grid_step)
     n, m, p = sys.n, sys.m, sys.p
@@ -835,15 +833,14 @@ def gain_search(
     decisions after it in the chunk, taken at the old best, are dropped, so
     each candidate is decided at the best of its turn, as one at a time.
     """
-    for name, value in (("T", T), ("tol", tol)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _check_positive_finite("T", T)
+    _check_positive_finite("tol", tol)
+    _check_positive_finite("eval_budget", eval_budget)
+    if cls.kind not in ("arbitrary", "dwell"):
+        raise ValueError(f"gain search supports arbitrary/dwell classes, not {cls.kind!r}")
     tau = class_tau(cls)
     if duration_grid is None:
         duration_grid = tuple(T * f for f in (0.125, 0.25, 0.5, 0.75))
-    dwell_cls = cls if cls.kind in ("arbitrary", "dwell") else None
-    if dwell_cls is None:
-        raise ValueError(f"gain search supports arbitrary/dwell classes, not {cls.kind!r}")
 
     # one reduction and balancing for every candidate, shared with gain_for_signal
     kern = _kernel(sys, T)
@@ -855,7 +852,7 @@ def gain_search(
         the index in sigs of the last one that raised it, or None."""
         nonlocal best, best_sig
         todo = [(k, sig, _reversed_segments(sig, T)) for k, sig in enumerate(sigs)
-                if tau == 0 or validate_membership(sig, dwell_cls).ok]
+                if tau == 0 or validate_membership(sig, cls).ok]
         won = None
         pos, size = 0, 1
         while pos < len(todo):
@@ -887,7 +884,7 @@ def gain_search(
         return won
 
     walk(itertools.islice(_candidate_signals(sys.n_modes, T, max_switches, duration_grid),
-                          max(eval_budget, 0)))
+                          eval_budget))
     if best is None:
         raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
 
@@ -1008,8 +1005,7 @@ def tau_min(
     for name, value in (("tau_lo", tau_lo), ("tau_hi", tau_hi)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive_finite("tol", tol)
     if not (0 <= tau_lo < tau_hi):
         raise ValueError("bracket must satisfy 0 <= tau_lo < tau_hi")
     minreal = minimal_realization(sys)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mode, Signal, SignalClassSpec, SystemSpec
+from .core import Mode, Signal, SignalClassSpec, SystemSpec, _check_positive_finite
 from .flows import gramians
 
 __all__ = [
@@ -201,6 +201,7 @@ def check_similarity(m1: MinimalRealization, m2: MinimalRealization, tol: float 
     independent columns) and verified on all modes: A2 = G^{-1} A1 G,
     B2 = G^{-1} B1, C2 = C1 G within the relative tolerance.
     """
+    _check_positive_finite("tol", tol)
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch between realizations")
     if m1.dim == 0:
@@ -289,13 +290,13 @@ def check_uniform_observability(
     """
     if cls.kind not in ("arbitrary", "dwell"):
         raise ValueError(f"unsupported class kind {cls.kind!r} for observability check")
-    if window <= 0:
-        raise ValueError("window must be positive")
+    _check_positive_finite("window", window)
+    _check_positive_finite("samples", samples)
     per_mode = tuple(_kalman_observable(m.A, m.C) for m in sys.modes)
 
     rng = np.random.default_rng(seed)
     floor = math.inf
-    for _ in range(max(samples, 1)):
+    for _ in range(samples):
         sig = _random_class_signal(sys.n_modes, cls.kind,
                                    cls.tau if cls.kind == "dwell" else 0.0,
                                    window, rng)

@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .core import Signal, SignalClassSpec, SystemSpec
+from .core import Signal, SignalClassSpec, SystemSpec, _check_positive_finite
 from .flows import Trajectory
 
 __all__ = [
@@ -118,9 +118,9 @@ def certification_grid(tau, delta=None, cap=None, budget=None):
         cap = 10.0 * max(tau, 1.0)
     if budget is None:
         budget = _BUDGET
-    for name, value in (("delta", delta), ("cap", cap), ("budget", budget)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _check_positive_finite("delta", delta)
+    _check_positive_finite("cap", cap)
+    _check_positive_finite("budget", budget)
     return delta, cap, budget
 
 
@@ -728,8 +728,7 @@ def rho_upper(
     all; if none is, the first, tightest one and the flags that say why.
     delta, cap and budget default as certification_grid says.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_positive_finite("eps", eps)
     tau = class_tau(cls, for_upper=True)
     delta, cap, budget = certification_grid(tau, delta, cap, budget)
     if lower_estimate is None:
@@ -773,8 +772,7 @@ def extremal_norm(
 ) -> PolytopeNorm:
     """Approximate extremal norm at rate mu_hat from the stabilized iteration;
     delta, cap and budget default as certification_grid says."""
-    if mu_hat <= 0:
-        raise ValueError("mu_hat must be positive")
+    _check_positive_finite("mu_hat", mu_hat)
     tau = class_tau(cls, for_upper=True)
     delta, cap, budget = certification_grid(tau, delta, cap, budget)
     cert, stabilized = _certify_at(sys, tau, mu_hat, delta, cap, budget, witness)
@@ -840,8 +838,7 @@ def quasi_extremal_trajectory(
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if np.linalg.norm(x0) == 0:
         raise ValueError("x0 must be nonzero")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_positive_finite("horizon", horizon)
     tau = class_tau(cls)
     lower_est = rho_lower(sys, cls)
     mu_hat = lower_est.lower

@@ -303,6 +303,19 @@ class TestMinreal:
         assert doc["per_mode_observable"] == [False, False, False]
         assert "gamma_floor" in doc
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--T", "nan"], "window must be positive and finite"),
+        (["--samples", "0"], "samples must be positive and finite"),
+        (["--samples", "-3"], "samples must be positive and finite"),
+    ])
+    def test_bad_window_or_samples_rejected(self, scalar_system_file, flags, message, capsys):
+        # unchecked, --T nan failed on "signal needs at least one segment",
+        # and --samples 0 or -3 reported one sample with exit code 0
+        assert main(["minreal", "--system", scalar_system_file, "--class", "arb"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):

@@ -105,6 +105,18 @@ class TestSignal:
         for t in times:
             assert sig.mode_at(t) == reference_mode_at(sig, t), t
 
+    def test_horizon_is_the_last_segment_end(self):
+        # the left-to-right sum of the durations, as the cursor and the
+        # simulation grid read it, to the bit
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            durations = rng.uniform(1e-3, 5.0, size=int(rng.integers(1, 60)))
+            sig = Signal(tuple((k % 2, float(d)) for k, d in enumerate(durations)))
+            total = 0.0
+            for d in durations:
+                total += float(d)
+            assert sig.horizon == total == sig.segment_ends[-1]
+
 
 class TestDwellMembership:
     def test_single_segment_ok(self):

@@ -1,0 +1,118 @@
+"""Every public numeric argument that must be positive and finite rejects 0
+(where 0 is invalid), a negative value, NaN and inf with a ValueError that
+names it, before any work is done; interval ends outside a signal's horizon,
+NaN included, are rejected by the cursor that clips them."""
+
+import math
+import signal
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from switchgain import (
+    Signal,
+    SignalClassSpec,
+    check_similarity,
+    check_uniform_observability,
+    extremal_norm,
+    gain_for_signal,
+    gain_power_lower,
+    gain_search,
+    gramians,
+    minimal_realization,
+    quasi_extremal_trajectory,
+    rho_upper,
+    simulate,
+    tau_min,
+    transition,
+)
+from switchgain.gallery import alpha_star, example_planar_pair, example_system, rotated_nodes_pair
+from switchgain.spectral import certification_grid
+
+ARB = SignalClassSpec.arbitrary()
+DWELL = SignalClassSpec.dwell(0.5)
+NODES = rotated_nodes_pair()
+SIG = Signal(((0, 0.5), (1, 0.5)))
+
+BAD = [0.0, -1.0, math.nan, math.inf]
+
+# (argument name as the message gives it, call with the bad value); the
+# comments give what the unchecked calls did with it
+ENTRY_POINTS = {
+    "gain_for_signal.tol": ("tol", lambda v: gain_for_signal(NODES, SIG, 1.0, v)),
+    "gain_power_lower.T": ("T", lambda v: gain_power_lower(NODES, SIG, v, 0.1)),
+    "gain_power_lower.grid_step": ("grid_step", lambda v: gain_power_lower(NODES, SIG, 1.0, v)),
+    "gain_search.T": ("T", lambda v: gain_search(NODES, ARB, v, max_switches=1, eval_budget=6)),
+    "gain_search.tol": ("tol", lambda v: gain_search(NODES, ARB, 1.0, max_switches=1,
+                                                     eval_budget=6, tol=v)),
+    # 0 and -3 were clamped to an empty search, reported as a budget too small
+    "gain_search.eval_budget": ("eval_budget",
+                                lambda v: gain_search(NODES, ARB, 1.0, eval_budget=v)),
+    "tau_min.tol": ("tol", lambda v: tau_min(NODES, (0.6, 2.0), v)),
+    "certification_grid.delta": ("delta", lambda v: certification_grid(0.5, v)),
+    "certification_grid.cap": ("cap", lambda v: certification_grid(0.5, cap=v)),
+    "certification_grid.budget": ("budget", lambda v: certification_grid(0.5, budget=v)),
+    # inf returned a certified estimate with an infinite upper bound
+    "rho_upper.eps": ("eps", lambda v: rho_upper(NODES, DWELL, eps=v)),
+    "rho_upper.delta": ("delta", lambda v: rho_upper(NODES, DWELL, delta=v)),
+    # inf returned a stabilized norm, NaN raised LinAlgError
+    "extremal_norm.mu_hat": ("mu_hat", lambda v: extremal_norm(NODES, DWELL, v)),
+    # inf never returned
+    "quasi_extremal_trajectory.horizon": (
+        "horizon", lambda v: quasi_extremal_trajectory(NODES, DWELL, [1.0, 0.0], v)),
+    # inf reported a grid mismatch
+    "simulate.dt": ("grid step dt", lambda v: simulate(NODES, Signal(((0, 0.05),)),
+                                                       np.zeros((5, 1)), np.zeros(2), v)),
+    # NaN failed on "signal needs at least one segment"
+    "check_uniform_observability.window": (
+        "window", lambda v: check_uniform_observability(NODES, ARB, v, samples=2)),
+    # 0 and -3 silently ran one sample
+    "check_uniform_observability.samples": (
+        "samples", lambda v: check_uniform_observability(NODES, ARB, 1.0, samples=v)),
+    # NaN returned a matrix for two realizations that tol 1e-6 tells apart
+    "check_similarity.tol": ("tol", lambda v: check_similarity(
+        minimal_realization(rotated_nodes_pair()),
+        minimal_realization(rotated_nodes_pair(-0.5, -3.0, 2.0)), tol=v)),
+    # NaN failed inside SystemSpec
+    "example_system.alpha": ("alpha", example_system),
+    "example_planar_pair.alpha": ("alpha", example_planar_pair),
+    # NaN returned 4.5047, ignoring the tolerance
+    "alpha_star.tol": ("tol", alpha_star),
+}
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the calling thread after seconds (POSIX timers)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("value", BAD, ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_rejected_with_its_name(entry, value):
+    name, call = ENTRY_POINTS[entry]
+    with deadline(5.0), pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value).startswith(f"{name} must be positive and finite, got ")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: transition(NODES, SIG, math.nan, 1.0),   # returned Phi(1, 0)
+    lambda: transition(NODES, SIG, 0.0, math.nan),   # returned the identity
+    lambda: gramians(NODES, SIG, 0.0, math.nan),     # returned zero Gramians
+    lambda: gramians(NODES, SIG, math.nan, 1.0),     # returned those on [0, 1]
+], ids=["transition_s", "transition_t", "gramians_t1", "gramians_t0"])
+def test_nan_interval_end_rejected(call):
+    with pytest.raises(ValueError, match="outside signal horizon"):
+        call()
+

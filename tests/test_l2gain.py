@@ -349,6 +349,20 @@ class TestRiccatiRows:
         assert scalar[:5] == [False, False, True, True, False] and any(scalar[5:])
         assert _riccati_rows(kern, rows).tolist() == scalar
 
+    def test_finished_rows_leave_the_chain(self, monkeypatch):
+        # a row of 1 segment beside a row of 200: after segment 0 the chain
+        # steps the long row alone, never the finished one
+        sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
+        kern = _RiccatiKernel(sysm, sig.horizon)
+        long_rev = _reversed_segments(sig, sig.horizon)
+        gain = l2gain._bisection(kern, long_rev, 1e-6)
+        rows = [(long_rev[:1], 2 * gain), (long_rev, 2 * gain)]
+        stacks = recording(monkeypatch, l2gain, "_hamiltonian_step")
+        decisions = _riccati_rows(kern, rows).tolist()
+        assert len(long_rev) == 200 and len(stacks) == 200
+        assert [len(E) for E, _ in stacks] == [2] + [1] * 199
+        assert decisions == [True, True]
+
     def test_empty_rows_pass(self):
         sysm = rotated_nodes_pair()
         kern = _RiccatiKernel(sysm, 1.0)
