@@ -10,8 +10,9 @@ the dwell class only if every (mode-merged) segment, including the first and
 last one, lasts at least the dwell time, so that two valid signals always
 concatenate into a valid signal.
 
-Every public numeric argument that must be positive and finite goes through
-_check_positive_finite, which raises ValueError naming the argument.
+Public numeric arguments, counts and duration grids go through
+_check_positive_finite, _check_count and _check_durations, which raise
+ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,25 @@ def _check_positive_finite(name, value):
     """ValueError naming the argument unless value is positive and finite."""
     if not _positive_finite(value):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_count(name, value, least):
+    """ValueError naming the argument unless value is an integer >= least."""
+    if least > 0:
+        _check_positive_finite(name, value)
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_durations(name, grid, below=None):
+    """tuple(grid); ValueError naming the argument unless it is non-empty,
+    positive and finite, with an entry below `below` when that is given."""
+    grid = tuple(grid)
+    if not (grid and _positive_finite(*grid)):
+        raise ValueError(f"{name} must be non-empty, positive and finite, got {grid!r}")
+    if below is not None and not min(grid) < below:
+        raise ValueError(f"{name} needs an entry below {below!r}, got {grid!r}")
+    return grid
 
 
 def _freeze(arr):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mode, SystemSpec, _check_positive_finite
+from .core import Mode, SystemSpec, _check_count, _check_positive_finite
 
 __all__ = [
     "example_system",
@@ -206,8 +206,7 @@ def verify_lyapunov_decay(alpha: float, n_samples: int, *, seed: int = 0) -> Lya
     the maximum over samples together with the side conditions on the planar
     norm (gradient bound sqrt(3), annulus containment, orbit closure).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_count("n_samples", n_samples, 1)
     sysm = example_system(alpha)
     norm = planar_norm(alpha)
 

@@ -64,17 +64,14 @@ of two near the one needed, the 2^3 - 1 midpoints of the next three
 bisection steps) and then walk the same dyadic path as one gamma at a
 time, so the returned value is the same.
 
+_riccati_rows raises no budget error: a row past _SUBSTEP_BUDGET holds the
+one-gamma test's error, which a caller raises only when it reads that row.
 _bisection is the one bisection, for gain_for_signal and for each
-gain_search candidate.  A candidate's first decision is at the incumbent,
-the best gain so far: it is skipped when that passes, and otherwise every
-gamma at or below the incumbent fails and is decided without a test.
-gain_search takes those incumbent probes with _riccati_rows, for a chunk
-of candidates at a time, and hands a failed probe to the bisection as its
-first decision.  Its result is that of one candidate at a time because
-every probe it uses is taken at the best of its candidate's turn: within a
-chunk the best changes only at a failed probe, and when the bisection
-there raises it, the chunk's later decisions are dropped and the walk
-resumes from the next candidate.
+gain_search candidate; it fails every gamma at or below its floor without a
+test.  gain_search probes chunks of candidates at the best gain so far, one
+_riccati_rows pass each, and bisects a failed one above that best.  The
+best changes only there, and the chunk's later decisions are then dropped,
+so each decision read was taken at the best of its turn, as one at a time.
 """
 
 from __future__ import annotations
@@ -91,7 +88,8 @@ from scipy.linalg import expm
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .core import Signal, SignalClassSpec, SystemSpec, _check_positive_finite, validate_membership
+from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_durations,
+                   _check_positive_finite, validate_membership)
 from .flows import _Cursor, _expm_stack, _gram_block, _zoh_grid
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
 from .spectral import RhoEstimate, certification_grid, class_tau, rho_lower, rho_upper
@@ -467,7 +465,7 @@ _PASSED, _ESCAPED, _EXHAUSTED = 0, 1, 2
 
 
 def _riccati_rows(kern, rows):
-    """For each row (reversed segments, gamma), _riccati_feasible's decision.
+    """For each row (reversed segments, gamma), _riccati_feasible's outcome.
 
     One backward pass decides every row, whatever its signal and length.  On
     a segment with constant mode the Riccati flow is exact, [X; Y] =
@@ -482,14 +480,14 @@ def _riccati_rows(kern, rows):
     segment lies within half the escape-time bound (no escape inside), and
     _certify runs the substep rule on the others, all of them at once.  A row
     passes when none of its pairs fails.  Its first failure in backward order
-    decides as the one-gamma test would: more than _SUBSTEP_BUDGET substeps
-    there raise RuntimeError, later pairs start from a chain that may have
-    crossed an escape and do not count.
+    decides as the one-gamma test would; later pairs start from a chain that
+    may have crossed an escape and do not count.  An object array: where the
+    test would raise after _SUBSTEP_BUDGET substeps, the row holds that error.
     """
     lens = np.array([len(rev) for rev, _ in rows], dtype=int)
     n = kern.n
     if n == 0 or not lens.any():
-        return np.ones(len(rows), dtype=bool)
+        return np.full(len(rows), True, dtype=object)
     q = np.array([1.0 / (gamma * gamma) for _, gamma in rows])
     # pairs (segment index, row), padded with (0.0, 0) past a row's end
     pairs = np.array(list(itertools.zip_longest(*(rev for rev, _ in rows), fillvalue=(0.0, 0))))
@@ -540,13 +538,12 @@ def _riccati_rows(kern, rows):
                 _, status[seg_of, row_of] = _certify(
                     kern, modes[seg_of, row_of], q[row_of], Ps[hard], H[seg_of, row_of],
                     whole[seg_of, row_of], dts[seg_of, row_of], bound[hard])
-    failed = status != _PASSED
-    first = failed.argmax(axis=0)
-    exhausted = failed.any(axis=0) & (status[first, np.arange(len(rows))] == _EXHAUSTED)
-    if exhausted.any():
-        r = int(np.flatnonzero(exhausted)[0])
-        raise _budget_error(rows[r][1], rows[r][0], first[r])
-    return ~failed.any(axis=0)
+    first = (status != _PASSED).argmax(axis=0)
+    outcome = status[first, np.arange(len(rows))]    # _PASSED when no pair failed
+    decisions = (outcome == _PASSED).astype(object)
+    for r in np.flatnonzero(outcome == _EXHAUSTED):
+        decisions[r] = _budget_error(rows[r][1], rows[r][0], first[r])
+    return decisions
 
 
 # segments from which one row pass over several gammas beats one test per gamma
@@ -568,24 +565,19 @@ def _bisection_points(lo, hi, tol, depth):
             + _bisection_points(mid, hi, tol, depth - 1))
 
 
-def _bisection(kern, rev_segs, tol, incumbent=None, decided=None):
+def _bisection(kern, rev_segs, tol, floor=0.0):
     """Gain of one signal by Riccati bisection: |hi - lo| < tol * max(hi, 1).
 
-    With an incumbent gamma > 0, the first decision is taken there: None when
-    it passes, as the gain is then at most the incumbent.  Otherwise every
-    gamma at or below the incumbent fails too and is decided without a test,
-    and the bracket search starts at 2^ceil(log2 incumbent).  The returned
-    value does not depend on the incumbent.  decided holds decisions already
-    taken (gamma -> bool), which are not taken again: gain_search passes the
-    incumbent probe that failed.  On a signal of _SWEEP_SEGMENTS segments or
-    more, each decision comes from one _riccati_rows pass over the gamma asked
-    for and the open values the search lists next; on a shorter one, from the
-    test of that gamma alone.
+    Every gamma at or below floor fails without a test; the value does not
+    depend on a floor below the gain (gain_search's failed probe).  On a
+    signal of _SWEEP_SEGMENTS segments or more, each decision comes from one
+    _riccati_rows pass over the gamma asked for and the open values the
+    search lists next, whose errors are raised only for a gamma asked for;
+    on a shorter one, from the test of that gamma alone.
     """
     if all(kern.silent[i] for _, i in rev_segs):
         return 0.0
-    decided = dict(decided or {})
-    floor = 0.0    # every gamma at or below it fails
+    decided = {}
 
     def feasible(gamma, batch=list):
         """The decision at gamma, made with those of the open values batch() lists."""
@@ -599,19 +591,14 @@ def _bisection(kern, rev_segs, tol, incumbent=None, decided=None):
                 decided.update(zip(gammas, _riccati_rows(kern, rows).tolist()))
             else:
                 decided[gamma] = _riccati_feasible(kern, rev_segs, gamma)
+        if isinstance(decided[gamma], RuntimeError):
+            raise decided[gamma]    # a look-ahead's error aborts nothing
         return decided[gamma]
 
-    if incumbent:
-        if feasible(incumbent):
-            return None
-        floor = incumbent
-
-    # canonical dyadic bracket: the smallest feasible power of two, so the
-    # bisection sequence (hence the returned value) does not depend on the
-    # incumbent; nested searches then reproduce identical values.
-    # Each pass also decides the powers within _BRACKET_WINDOW of the one
-    # needed, inside the range the search may probe: 2^-40 to 2^(m0 + 60)
-    m0 = math.ceil(math.log2(max(incumbent or 1.0, 1.0)))
+    # canonical dyadic bracket: the smallest feasible power of two, whatever
+    # the floor.  Each pass also decides the powers within _BRACKET_WINDOW of
+    # the one needed, inside the range the search may probe: 2^-40 to 2^(m0 + 60)
+    m0 = math.ceil(math.log2(max(floor, 1.0)))
 
     def powers_near(e):
         return [2.0 ** k for k in range(max(e - _BRACKET_WINDOW, -40),
@@ -628,7 +615,7 @@ def _bisection(kern, rev_segs, tol, incumbent=None, decided=None):
     hi = 2.0 ** m
     lo = 0.0
     # the bracket search decided 2^(m-1), the first midpoint, unless the
-    # downward search stopped at the floor; each later pass decides the
+    # downward search stopped at 2^-40; each later pass decides the
     # midpoints of the next _BISECTION_DEPTH steps on every path
     while hi - lo > tol * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
@@ -818,29 +805,27 @@ def gain_search(
 ) -> GainEstimate:
     """Lower bound on the class gain gamma_2(tau, T) by signal enumeration.
 
-    Mode sequences up to max_switches switches with grid durations are
-    enumerated in a fixed order and filtered for class validity, so smaller
-    dwell floors evaluate supersets (monotonicity under nested budgets); the
-    best signal's switch times are then locally refined when refine is set.
+    Mode sequences up to max_switches >= 0 switches with durations from
+    duration_grid (one below T) are enumerated in a fixed order, cut at
+    eval_budget >= 1 and filtered for class validity, so smaller dwell floors
+    evaluate supersets (monotonicity under nested budgets); the best signal's
+    switch times are then locally refined when refine is set.
 
     The result is that of evaluating the candidates one at a time: each is
-    first tested at the best gain so far (the incumbent probe), skipped when
-    that passes and bisected otherwise.  Those probes are taken in chunks at
-    the running best, one _riccati_rows pass per chunk (a _riccati_feasible
-    test for a chunk of one), the chunk doubling while every probe in it
-    passes.  A failed probe is the first decision of
-    its candidate's bisection.  If the bisection raises the best, the
-    decisions after it in the chunk, taken at the old best, are dropped, so
-    each candidate is decided at the best of its turn, as one at a time.
+    probed at the best gain so far, skipped when that passes and bisected
+    above it otherwise.  The probes go in chunks, one _riccati_rows pass
+    each, the chunk doubling while every probe passes.
     """
     _check_positive_finite("T", T)
     _check_positive_finite("tol", tol)
-    _check_positive_finite("eval_budget", eval_budget)
+    _check_count("max_switches", max_switches, 0)
+    _check_count("eval_budget", eval_budget, 1)
     if cls.kind not in ("arbitrary", "dwell"):
         raise ValueError(f"gain search supports arbitrary/dwell classes, not {cls.kind!r}")
     tau = class_tau(cls)
     if duration_grid is None:
         duration_grid = tuple(T * f for f in (0.125, 0.25, 0.5, 0.75))
+    duration_grid = _check_durations("duration_grid", duration_grid, T if max_switches else None)
 
     # one reduction and balancing for every candidate, shared with gain_for_signal
     kern = _kernel(sys, T)
@@ -858,26 +843,17 @@ def gain_search(
         while pos < len(todo):
             incumbent = best
             chunk = todo[pos:pos + size]
-            if not incumbent:    # nothing to probe at: bisect the next candidate
-                chunk, passed = chunk[:1], [False]
-            elif len(chunk) == 1:
-                passed = [_riccati_feasible(kern, chunk[0][2], incumbent)]
-            else:
-                try:
-                    passed = _riccati_rows(kern, [(rev, incumbent) for _, _, rev in chunk])
-                except RuntimeError:
-                    # some probe ran out of substeps; one at a time, it raises
-                    # only if the one-at-a-time loop reaches it at this best
-                    size = 1
-                    continue
+            passed = (_riccati_rows(kern, [(rev, incumbent) for _, _, rev in chunk]).tolist()
+                      if incumbent else [False])    # nothing to probe at: bisect the next
             size *= 2
             for (k, sig, rev), ok in zip(chunk, passed):
                 pos += 1
+                if isinstance(ok, RuntimeError):
+                    raise ok    # reached at the best it was probed at
                 if ok:
                     continue
                 size = 1
-                value = _bisection(kern, rev, tol, incumbent,
-                                   {incumbent: False} if incumbent else None)
+                value = _bisection(kern, rev, tol, incumbent or 0.0)
                 if best is None or value > best:
                     best, best_sig, won = value, sig, k
                     break

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mode, Signal, SignalClassSpec, SystemSpec, _check_positive_finite
+from .core import Mode, Signal, SignalClassSpec, SystemSpec, _check_count, _check_positive_finite
 from .flows import gramians
 
 __all__ = [
@@ -291,7 +291,7 @@ def check_uniform_observability(
     if cls.kind not in ("arbitrary", "dwell"):
         raise ValueError(f"unsupported class kind {cls.kind!r} for observability check")
     _check_positive_finite("window", window)
-    _check_positive_finite("samples", samples)
+    _check_count("samples", samples, 1)
     per_mode = tuple(_kalman_observable(m.A, m.C) for m in sys.modes)
 
     rng = np.random.default_rng(seed)

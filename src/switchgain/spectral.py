@@ -65,7 +65,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .core import Signal, SignalClassSpec, SystemSpec, _check_positive_finite
+from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_durations,
+                   _check_positive_finite)
 from .flows import Trajectory
 
 __all__ = [
@@ -286,11 +287,13 @@ def rho_lower(
     Maximizes over (a) single-mode candidates e^(abscissa) and (b) periodic
     words with grid durations, coordinate-descent over the grid and then a
     continuous refinement of the best word's durations (respecting the dwell
-    floor).  The witness signal repeats into a class-valid signal.
+    floor), with words of up to max_letters >= 1 letters and grid entries at
+    or above the dwell floor.  The witness repeats into a class-valid signal.
     """
+    _check_count("max_letters", max_letters, 1)
     tau = class_tau(cls)
-    grid = tuple(duration_grid) if duration_grid else default_duration_grid(tau)
-    grid = tuple(g for g in grid if g >= max(tau, 1e-9) - 1e-12)
+    grid = default_duration_grid(tau) if duration_grid is None else duration_grid
+    grid = tuple(g for g in _check_durations("duration_grid", grid) if g >= max(tau, 1e-9) - 1e-12)
     if not grid:
         raise ValueError("empty duration grid after applying the dwell floor")
 
@@ -849,7 +852,7 @@ def quasi_extremal_trajectory(
             duration_grid = (tau, 1.5 * tau, 2.0 * tau, 3.0 * tau)
         else:
             duration_grid = (0.05, 0.1, 0.25, 0.5, 1.0)
-    durations = sorted(set(tuple(duration_grid) +
+    durations = sorted(set(_check_durations("duration_grid", duration_grid) +
                            tuple(d for _, d in lower_est.witness.segments
                                  if d >= max(tau, 1e-9) - 1e-12)))
     letters = []

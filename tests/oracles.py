@@ -88,7 +88,7 @@ def rk_riccati_feasible(sys, rev_segs, gamma):
 def rk_gain(sys, rev_segs, tol):
     """Gain by bisection on rk_riccati_feasible over the library's dyadic bracket.
 
-    Same bracket and midpoints as l2gain._bisection without an incumbent, so
+    Same bracket and midpoints as l2gain._bisection at floor 0, so
     two runs that take the same decisions return the same value.
     """
     m = 0
@@ -114,9 +114,9 @@ def reference_gain_search(sys, cls, T, *, max_switches=4, duration_grid=None, re
     """(value, witness signal) of l2gain.gain_search, one candidate at a time.
 
     The candidate loop and the refinement as they were before the incumbent
-    probes were batched: each class-valid candidate goes through one
-    l2gain._bisection at the best gain so far, whose first decision is the
-    probe there.
+    probes were batched: each class-valid candidate is tested alone at the
+    best gain so far and, when that fails, goes through one l2gain._bisection
+    above it.
     """
     tau = spectral.class_tau(cls)
     if duration_grid is None:
@@ -128,7 +128,10 @@ def reference_gain_search(sys, cls, T, *, max_switches=4, duration_grid=None, re
     def evaluate(sig):
         if tau > 0 and not validate_membership(sig, cls).ok:
             return None
-        return l2gain._bisection(kern, l2gain._reversed_segments(sig, T), tol, best)
+        rev = l2gain._reversed_segments(sig, T)
+        if best and l2gain._riccati_feasible(kern, rev, best):
+            return None
+        return l2gain._bisection(kern, rev, tol, floor=best or 0.0)
 
     seen = 0
     for sig in l2gain._candidate_signals(sys.n_modes, T, max_switches, duration_grid):

@@ -68,6 +68,18 @@ class TestRho:
         assert captured.out == ""
         assert "error: tau must be 0 (arbitrary) or finite and positive" in captured.err
 
+    @pytest.mark.parametrize("argv", [["--tau", "0.5"], ["--tau-grid", "0.5,2.0"]])
+    @pytest.mark.parametrize("letters", ["0", "-2"])
+    def test_nonpositive_max_letters_rejected(self, tmp_path, argv, letters, capsys):
+        # unchecked, --tau 0.5 --max-letters 0 searched single modes only and
+        # printed lower 0.368 and upper 0.554, while the default proves 2.729
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        assert main(["rho", "--system", str(path), "--max-letters", letters] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: max_letters must be positive and finite, got {letters}" in captured.err
+
     def test_missing_tau_is_error(self, scalar_system_file):
         assert main(["rho", "--system", scalar_system_file]) == 1
 
@@ -132,6 +144,18 @@ class TestGain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --grid-step {float(step)!r} must be below --T 1.0" in captured.err
+
+    @pytest.mark.parametrize("sweep", [[], ["--tau-grid", "0,0.5"]])
+    def test_negative_max_switches_rejected(self, tmp_path, sweep, capsys):
+        # unchecked, only constant signals were searched: 0.516 where the
+        # default --max-switches 4 gives 1.571
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        assert main(["gain", "--system", str(path), "--T", "1.0", "--max-switches", "-1"]
+                    + sweep) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: max_switches must be an integer >= 0, got -1" in captured.err
 
     @pytest.mark.parametrize("grid", ["-0.5,nan,0", "0,nan", "0,inf"])
     def test_invalid_tau_grid_rejected(self, scalar_system_file, grid, capsys):

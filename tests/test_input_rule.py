@@ -1,7 +1,9 @@
 """Every public numeric argument that must be positive and finite rejects 0
 (where 0 is invalid), a negative value, NaN and inf with a ValueError that
-names it, before any work is done; interval ends outside a signal's horizon,
-NaN included, are rejected by the cursor that clips them."""
+names it, before any work is done; so does every count that is not an
+integer at or above its least value, and every duration grid that is empty
+or holds a non-positive or non-finite entry.  Interval ends outside a
+signal's horizon, NaN included, are rejected by the cursor that clips them."""
 
 import math
 import signal
@@ -22,6 +24,7 @@ from switchgain import (
     gramians,
     minimal_realization,
     quasi_extremal_trajectory,
+    rho_lower,
     rho_upper,
     simulate,
     tau_min,
@@ -116,3 +119,70 @@ def test_nan_interval_end_rejected(call):
     with pytest.raises(ValueError, match="outside signal horizon"):
         call()
 
+
+
+# (argument name, call with the bad value, bad values); the comments give
+# what the unchecked calls did
+COUNTS = {
+    # 0 and -2 searched single modes only: lower 0.368 where the default
+    # search proves 2.729
+    "rho_lower.max_letters": ("max_letters", lambda v: rho_lower(NODES, DWELL, max_letters=v),
+                              [0, -2, 2.5]),
+    # -1 searched constant signals only: 0.516 where the default gives 1.571
+    "gain_search.max_switches": ("max_switches", lambda v: gain_search(
+        NODES, ARB, 1.0, max_switches=v, eval_budget=6), [-1, 1.5]),
+    # 2.5 failed inside itertools.islice
+    "gain_search.eval_budget": ("eval_budget",
+                                lambda v: gain_search(NODES, ARB, 1.0, eval_budget=v), [2.5]),
+    # 2.5 failed inside range
+    "check_uniform_observability.samples": (
+        "samples", lambda v: check_uniform_observability(NODES, ARB, 1.0, samples=v), [2.5]),
+}
+
+
+@pytest.mark.parametrize("entry, value", [(entry, v) for entry in sorted(COUNTS)
+                                          for v in COUNTS[entry][2]])
+def test_count_rejected_with_its_name(entry, value):
+    name, call, _ = COUNTS[entry]
+    with deadline(5.0), pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value).startswith(f"{name} must be ")
+
+
+# name -> call that passes a bad duration grid
+GRIDS = {
+    # () searched constant signals only: 0.516 where the default grid gives 1.571
+    "gain_search.empty": lambda: gain_search(NODES, ARB, 1.0, duration_grid=()),
+    # inf and a grid with no entry below T did the same, the others failed
+    # on a signal segment
+    **{f"gain_search.{kind}": (lambda grid=grid: gain_search(NODES, ARB, 1.0, duration_grid=grid))
+       for kind, grid in (("nan", (math.nan, 0.25)), ("zero", (0.0, 0.25)),
+                          ("negative", (-0.25, 0.25)), ("inf", (0.25, math.inf)),
+                          ("none_below_T", (1.0, 2.0)))},
+    # [] searched the default grid
+    "rho_lower.empty": lambda: rho_lower(NODES, DWELL, duration_grid=[]),
+    # NaN, 0 and negative entries were dropped without a word
+    **{f"rho_lower.{kind}": (lambda grid=grid: rho_lower(NODES, DWELL, duration_grid=grid))
+       for kind, grid in (("nan", [math.nan, 1.0]), ("zero", [0.0, 1.0]),
+                          ("negative", [-1.0, 1.0]))},
+    # [] and [nan] ran on the witness durations alone, [0] and [-1] never returned
+    **{f"quasi_extremal_trajectory.{kind}": (lambda grid=grid: quasi_extremal_trajectory(
+        NODES, DWELL, [1.0, 0.0], 2.0, duration_grid=grid))
+       for kind, grid in (("empty", []), ("nan", [math.nan]), ("zero", [0.0]),
+                          ("negative", [-1.0]))},
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GRIDS))
+def test_duration_grid_rejected_with_its_name(entry):
+    with deadline(5.0), pytest.raises(ValueError) as exc:
+        GRIDS[entry]()
+    assert str(exc.value).startswith("duration_grid ")
+
+
+def test_duration_grids_still_accepted():
+    # without switches no entry need lie below T, and rho_lower keeps
+    # dropping positive entries below the dwell floor
+    assert gain_search(NODES, ARB, 1.0, max_switches=0, duration_grid=(2.0,)).value > 0
+    filtered = rho_lower(NODES, DWELL, max_letters=2, duration_grid=[0.1, 1.0])
+    assert filtered.lower == rho_lower(NODES, DWELL, max_letters=2, duration_grid=[1.0]).lower

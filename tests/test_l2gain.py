@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -282,15 +283,20 @@ class TestSweepCost:
 
     def test_substep_budget(self):
         # mu(A) ~ 5000 while A is stable: near gamma = 1e-9 the escape bound
-        # allows ~1e-4 per substep, and the scalar test took 17008 substeps
+        # allows ~1e-4 per substep, and the scalar test took 17008 substeps;
+        # the one-gamma test raises the error that a row pass reports
         sysm = single_mode([[-1.0, 1e4], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
         kern = _RiccatiKernel(sysm, 1.0)
-        for test in (lambda: _riccati_rows(kern, [([(1.0, 0)], 1e-9), ([(1.0, 0)], 1.0)]),
-                     lambda: _riccati_feasible(kern, [(1.0, 0)], 1e-9)):
-            t0 = time.monotonic()
-            with pytest.raises(RuntimeError, match=r"gamma=1e-09 .* segment 0"):
-                test()
-            assert time.monotonic() - t0 < 2.0
+        t0 = time.monotonic()
+        error, passed = _riccati_rows(kern, [([(1.0, 0)], 1e-9), ([(1.0, 0)], 1.0)]).tolist()
+        assert time.monotonic() - t0 < 2.0
+        assert isinstance(error, RuntimeError)
+        assert passed is _riccati_feasible(kern, [(1.0, 0)], 1.0)
+        assert re.search(r"gamma=1e-09 .* segment 0", str(error))
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"gamma=1e-09 .* segment 0"):
+            _riccati_feasible(kern, [(1.0, 0)], 1e-9)
+        assert time.monotonic() - t0 < 2.0
 
 
 def random_signal(rng, n_modes, T):
@@ -374,16 +380,22 @@ class TestRiccatiRows:
     def test_substep_budget(self):
         # the system of TestSweepCost.test_substep_budget: near gamma = 1e-9
         # the last segment, the first one backwards, needs more than
-        # _SUBSTEP_BUDGET substeps; the row at gamma = 1 passes beside it
+        # _SUBSTEP_BUDGET substeps; the pass reports the one-gamma test's
+        # error in that row, and decides the rows beside it: the gain is
+        # about 1597, so gamma = 1 fails and gamma = 2048 passes
         sysm = single_mode([[-1.0, 1e4], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
         kern = _RiccatiKernel(sysm, 1.0)
         rev = [(0.5, 0), (0.5, 0)]
-        for test in (lambda: _riccati_rows(kern, [(rev, 1.0), (rev, 1e-9)]),
-                     lambda: _riccati_feasible(kern, rev, 1e-9)):
-            t0 = time.monotonic()
-            with pytest.raises(RuntimeError, match=r"gamma=1e-09 .* segment 1"):
-                test()
-            assert time.monotonic() - t0 < 2.0
+        t0 = time.monotonic()
+        failed, error, passed = _riccati_rows(kern, [(rev, 1.0), (rev, 1e-9),
+                                                     (rev, 2048.0)]).tolist()
+        assert time.monotonic() - t0 < 2.0
+        assert failed is False and passed is True and isinstance(error, RuntimeError)
+        assert re.search(r"gamma=1e-09 .* segment 1", str(error))
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=re.escape(str(error))):
+            _riccati_feasible(kern, rev, 1e-9)
+        assert time.monotonic() - t0 < 2.0
 
 
 class TestGainSearchOracle:
@@ -424,50 +436,109 @@ class TestGainSearchOracle:
         assert est.witness_signal.segments == witness.segments
 
     def test_rows_that_raise_are_redone_one_at_a_time(self, monkeypatch):
-        # a chunk whose pass raises is walked again one candidate at a time,
-        # so the search raises only where the one-at-a-time loop would
-        def fail(kern, rows):
-            raise RuntimeError("substep budget")
-
+        # a probe row past the substep budget is reported, not raised: the
+        # rows of a chunk after a probe that raised the best are probed again
+        # at the new best, so an error in each of them changes nothing, as
+        # the one-at-a-time loop never tests them at the old best
         sysm, cls, T, opts = self.CASES["nodes_arb_T0.4"]()
+        opts = {**opts, "refine": False}    # each candidate is walked once
         value, witness = reference_gain_search(sysm, cls, T, **opts)
-        monkeypatch.setattr(l2gain, "_riccati_rows", fail)
+        probes = [row for rows in row_passes(monkeypatch, lambda: gain_search(sysm, cls, T, **opts))
+                  for row in rows]
+        dropped = {(rev, gamma) for k, (rev, gamma) in enumerate(probes)
+                   if any(later == rev for later, _ in probes[k + 1:])}
+        assert dropped
+        reported = reporting_errors(monkeypatch, dropped)
         est = gain_search(sysm, cls, T, **opts)
+        assert sorted(row for row, _ in reported) == sorted(dropped)
         assert est.value.hex() == value.hex()
         assert est.witness_signal.segments == witness.segments
+
+
+class TestRowErrors:
+    """A row pass reports a substep-budget error; it is raised only where the
+    one-gamma tests of the same search would meet it (no real input is known
+    to run out of substeps there, so the errors are stubbed)."""
+
+    def test_bisection_raises_only_asked_gammas(self, monkeypatch):
+        # each pass on a signal of _SWEEP_SEGMENTS segments also decides
+        # look-ahead gammas: an error reported for one aborts nothing unless
+        # the bisection asks for that gamma later
+        sysm = rotated_nodes_pair(-1.0, -4.0, 1.5)
+        sig = alternating_nodes_signal(l2gain._SWEEP_SEGMENTS)
+        rev = _reversed_segments(sig, sig.horizon)
+        kern = _RiccatiKernel(sysm, sig.horizon)
+        gain = l2gain._bisection(kern, rev, 1e-4)
+        passes = row_passes(monkeypatch, lambda: l2gain._bisection(kern, rev, 1e-4))
+        lookahead = [row for rows in passes for row in rows[1:]]
+        asked = []
+        for row in lookahead:
+            reported = reporting_errors(monkeypatch, {row})
+            try:
+                value = l2gain._bisection(kern, rev, 1e-4)
+            except RuntimeError as exc:
+                assert [exc] == [error for _, error in reported]
+                asked.append(row)
+            else:
+                assert [r for r, _ in reported] == [row]
+                assert value.hex() == gain.hex()
+        # 0.125 to 0.5 of the first pass are asked for later, 2 to 8 never
+        assert 0 < len(asked) < len(lookahead)
+
+    def test_gain_search_raises_reached_rows(self, monkeypatch):
+        # a probe row that the walk reaches was probed at the best of its
+        # turn: its error is raised, the one that the one-at-a-time loop's
+        # test raises there
+        sysm, cls, T, opts = TestGainSearchOracle.CASES["nodes_arb_T0.4"]()
+        opts = {**opts, "refine": False}
+        passes = row_passes(monkeypatch, lambda: gain_search(sysm, cls, T, **opts))
+        probes = [row for rows in passes for row in rows]
+        reached = [(rev, gamma) for k, (rev, gamma) in enumerate(probes)
+                   if not any(later == rev for later, _ in probes[k + 1:])]
+        for row in (reached[0], reached[-1]):
+            reported = reporting_errors(monkeypatch, {row})
+            with pytest.raises(RuntimeError) as exc:
+                gain_search(sysm, cls, T, **opts)
+            assert [exc.value] == [error for _, error in reported]
+
+            def feasible_or_error(kern, rev, gamma, row=row):
+                if (tuple(rev), gamma) == row:
+                    raise l2gain._budget_error(gamma, rev, 0)
+                return _riccati_feasible(kern, rev, gamma)
+
+            monkeypatch.setattr(l2gain, "_riccati_feasible", feasible_or_error)
+            with pytest.raises(RuntimeError, match=re.escape(str(exc.value))):
+                reference_gain_search(sysm, cls, T, **opts)
+            monkeypatch.setattr(l2gain, "_riccati_feasible", _riccati_feasible)
 
 
 class TestIncumbentCost:
     """Counts, not wall clock: Riccati tests below an incumbent a candidate failed."""
 
     def test_defaults_query(self, monkeypatch):
-        # per bisection: [signal, incumbent, decisions handed in, probes
-        # before it, gammas tested, result]; per incumbent probe: [signal,
-        # gamma, passed, best gain so far]
+        # per bisection: [signal, floor, probes before it, gammas tested,
+        # result]; per incumbent probe: [signal, gamma, passed, best gain so far]
         runs, probes, passes = [], [], []
         bisection = l2gain._bisection
         feasible, rows = l2gain._riccati_feasible, l2gain._riccati_rows
 
-        def traced_bisection(kern, rev, tol, incumbent=None, decided=None):
-            runs.append([rev, incumbent, dict(decided or {}), len(probes), []])
-            runs[-1].append(bisection(kern, rev, tol, incumbent, decided))
-            return runs[-1][5]
+        def traced_bisection(kern, rev, tol, floor=0.0):
+            runs.append([rev, floor, len(probes), []])
+            runs[-1].append(bisection(kern, rev, tol, floor))
+            return runs[-1][4]
 
         def best():
-            return max((run[5] for run in runs if len(run) == 6), default=None)
+            return max((run[4] for run in runs if len(run) == 5), default=None)
 
         def traced_feasible(kern, rev, gamma):
-            passed = feasible(kern, rev, gamma)
-            if runs and len(runs[-1]) == 5:
-                runs[-1][4].append(gamma)
-            else:
-                probes.append([rev, gamma, passed, best()])
-            return passed
+            assert runs and len(runs[-1]) == 4    # only bisections test one gamma
+            runs[-1][3].append(gamma)
+            return feasible(kern, rev, gamma)
 
         def traced_rows(kern, batch):
             passed = rows(kern, batch)
-            if runs and len(runs[-1]) == 5:
-                runs[-1][4].extend(gamma for _, gamma in batch)
+            if runs and len(runs[-1]) == 4:
+                runs[-1][3].extend(gamma for _, gamma in batch)
                 return passed
             passes.append(batch)
             probes.extend([rev, gamma, ok, best()] for (rev, gamma), ok in zip(batch, passed))
@@ -479,20 +550,18 @@ class TestIncumbentCost:
         est = gain_search(rotated_nodes_pair(), SignalClassSpec.dwell(0.5), 3.0)
         assert est.value == float.fromhex("0x1.0a96000000000p+3")
         assert probes and all(gamma == at for _, gamma, _, at in probes)
-        # a candidate is bisected at an incumbent only after its last probe,
-        # there, failed: that failure is the first decision, handed in, and
-        # no gamma at or below it is decided again
+        # a candidate is bisected above a floor only after its last probe,
+        # there, failed, and no gamma at or below the floor is tested
         failed = [run for run in runs if run[1]]
         assert failed
-        for rev, incumbent, decided, before, gammas, _ in failed:
-            assert [p[1:3] for p in probes[:before] if p[0] is rev][-1] == [incumbent, False]
-            assert decided == {incumbent: False}
-            assert all(g > incumbent for g in gammas)
+        for rev, floor, before, gammas, _ in failed:
+            assert [p[1:3] for p in probes[:before] if p[0] is rev][-1] == [floor, False]
+            assert all(g > floor for g in gammas)
         # one-gamma tests plus row passes: 268 when each bisection started
         # afresh after its incumbent probe, 218 one-gamma tests when the
-        # probe was its first decision, 207 with the probes in row passes
-        tests = sum(len(run[4]) for run in runs)
-        tests += len(probes) - sum(len(batch) for batch in passes)
+        # probe was its first decision, 207 with the probes of two or more
+        # candidates in row passes, and as many with every probe in one
+        tests = sum(len(run[3]) for run in runs)
         assert tests + len(passes) <= 218
 
     def test_sweep_skips_values_below_the_incumbent(self, monkeypatch):
@@ -500,13 +569,11 @@ class TestIncumbentCost:
         rev = _reversed_segments(sig, sig.horizon)
         kern = _RiccatiKernel(sysm, sig.horizon)
         gain = l2gain._bisection(kern, rev, 1e-4)
-        assert l2gain._bisection(kern, rev, 1e-4, 1.1 * gain) is None
         calls = recording(monkeypatch, l2gain, "_riccati_rows")
-        incumbent = 0.9 * gain
-        assert l2gain._bisection(kern, rev, 1e-4, incumbent).hex() == gain.hex()
-        assert all(r is rev for args in calls for r, _ in args[1])
-        assert [g for _, g in calls[0][1]] == [incumbent]
-        assert all(g > incumbent for args in calls[1:] for _, g in args[1])
+        floor = 0.9 * gain
+        assert l2gain._bisection(kern, rev, 1e-4, floor).hex() == gain.hex()
+        assert calls and all(r is rev for args in calls for r, _ in args[1])
+        assert all(g > floor for args in calls for _, g in args[1])
 
 
 class TestPowerLower:
@@ -623,6 +690,34 @@ def recording(monkeypatch, module, name):
     return calls
 
 
+def row_passes(monkeypatch, run):
+    """The rows, (reversed segments as a tuple, gamma), of each _riccati_rows pass of run()."""
+    calls = recording(monkeypatch, l2gain, "_riccati_rows")
+    run()
+    monkeypatch.setattr(l2gain, "_riccati_rows", _riccati_rows)
+    return [[(tuple(rev), gamma) for rev, gamma in rows] for _, rows in calls]
+
+
+def reporting_errors(monkeypatch, at):
+    """Make _riccati_rows report a substep-budget error in each row listed in at.
+
+    Rows are (reversed segments as a tuple, gamma); returns the list of
+    (row, error) reported, filled as the passes run.
+    """
+    reported = []
+
+    def rows_with_errors(kern, rows):
+        decisions = _riccati_rows(kern, rows)
+        for r, (rev, gamma) in enumerate(rows):
+            if (tuple(rev), gamma) in at:
+                decisions[r] = l2gain._budget_error(gamma, rev, 0)
+                reported.append(((tuple(rev), gamma), decisions[r]))
+        return decisions
+
+    monkeypatch.setattr(l2gain, "_riccati_rows", rows_with_errors)
+    return reported
+
+
 class TestBisectionProbes:
     """The bisection does not re-probe the bracket search's last infeasible gamma.
 
@@ -663,8 +758,8 @@ class TestBisectionProbes:
         # one-gamma tests plus row passes: 67 one-gamma tests when every
         # incumbent probe was its own test (three bisections, one probe fewer
         # each than before; the third fails its incumbent 3.034 and no longer
-        # tests 2.0 and 3.0 below it: 69); the probes now take 8 row passes
-        # (20 rows) and 17 one-gamma tests, and the bisections 32
+        # tests 2.0 and 3.0 below it: 69); the probes now take 13 row passes
+        # (25 rows), and the bisections 44 one-gamma tests
         assert len(calls) + len(passes) == 57
         assert est.value == float.fromhex("0x1.b84c000000000p+1")
         assert est.witness_signal.segments == ((1, 1.5), (0, 1.5))
