@@ -146,8 +146,7 @@ class SignalClassSpec:
     """Tagged description of one constrained switching class.
 
     kind is one of 'arbitrary', 'dwell', 'avg_dwell', 'pers_exc', 'lipschitz',
-    'bv'; only the parameters of the chosen kind are set.  For pers_exc the
-    two endpoint modes of the convex segment are stored as mode indices.
+    'bv'; only the parameters of the chosen kind are set.
     """
 
     kind: str
@@ -157,8 +156,6 @@ class SignalClassSpec:
     mu: float | None = None
     L: float | None = None
     nu: float | None = None
-    m0: int = 0
-    m1: int = 1
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -207,8 +204,8 @@ class SignalClassSpec:
         return SignalClassSpec("avg_dwell", tau=float(tau), n0=int(n0))
 
     @staticmethod
-    def pers_exc(T, mu, m0=0, m1=1):
-        return SignalClassSpec("pers_exc", T=float(T), mu=float(mu), m0=m0, m1=m1)
+    def pers_exc(T, mu):
+        return SignalClassSpec("pers_exc", T=float(T), mu=float(mu))
 
     @staticmethod
     def lipschitz(L):

@@ -12,6 +12,11 @@ Off-grid durations are covered by a reported multiplicative grid inflation
 exp(a_max * delta), and dwells beyond the grid cap by per-mode eigenvalue
 envelopes; failures of either closure are flagged, never silently absorbed.
 
+Letters.  Every letter grid (the word search's, the certifier's and the
+quasi-extremal one) is one flows._expm_stack call over all its (mode,
+duration) pairs, so each letter meets Higham's backward-error bound however
+ill-conditioned the mode's eigenvectors; no eigenvector formula is used.
+
 Domination check.  The certificate grows from a worklist: each product
 P = S_j L of a stored generator and a letter is stored unless its Gram matrix
 Q = P^T P is dominated, that is eigvalsh(G - Q)[0] >= -tol(G), tol(G) =
@@ -67,7 +72,7 @@ from scipy.linalg import expm
 
 from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_durations,
                    _check_positive_finite)
-from .flows import Trajectory
+from .flows import Trajectory, _expm_stack
 
 __all__ = [
     "RhoEstimate",
@@ -196,22 +201,12 @@ def _spectral_abscissa(A):
     return float(np.max(np.real(np.linalg.eigvals(A)))) if A.size else -math.inf
 
 
-def _mode_exponentials(A, ts):
-    """e^{A t} for every t in ts; eigendecomposition fast path when stable."""
-    ts = np.asarray(ts, dtype=float)
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((len(ts), 0, 0))
+def _exp_bound(name, x):
+    """math.exp(x) for the bound name; ValueError naming it when it overflows."""
     try:
-        w, V = np.linalg.eig(A)
-        cond = np.linalg.cond(V)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < 1e8:
-        Vi = np.linalg.inv(V)
-        E = np.einsum("ij,tj,jk->tik", V, np.exp(np.outer(ts, w)), Vi)
-        return np.ascontiguousarray(E.real)
-    return np.stack([expm(A * t) for t in ts])
+        return math.exp(x)
+    except OverflowError:
+        raise ValueError(f"{name} overflows: exp({x!r})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +294,13 @@ def rho_lower(
 
     best_val, best_word = -1.0, None
     for k, mode in enumerate(sys.modes):
-        val = math.exp(_spectral_abscissa(mode.A))
+        val = _exp_bound("rho lower bound e^(spectral abscissa)", _spectral_abscissa(mode.A))
         if val > best_val:
             best_val = val
             best_word = Signal(((k, max(tau, grid[0])),))
 
-    cache = {}
-    for k in range(sys.n_modes):
-        E = _mode_exponentials(sys.A(k), grid)
-        for gi, g in enumerate(grid):
-            cache[(k, g)] = E[gi]
+    pairs = [(k, g) for k in range(sys.n_modes) for g in grid]
+    cache = dict(zip(pairs, _expm_stack([sys.A(k) * g for k, g in pairs])))
 
     for seq in _mode_sequences(sys.n_modes, max_letters):
         k = len(seq)
@@ -544,18 +536,14 @@ class _Certifier:
         self.norms.append(float(norm))
 
     def _build_letters(self):
-        mats = []
-        times = []
-        for k, A in enumerate(self.modes_A):
-            t0 = max(self.tau, self.delta)
-            ts = np.arange(t0, self.caps[k] + self.delta / 2, self.delta)
-            if ts.size > 120_000:
-                raise ValueError("certification letter grid too large; increase delta")
-            E = _mode_exponentials(A, ts) * np.exp(-self.log_mu * ts)[:, None, None]
-            mats.append(E)
-            times.append(ts)
-        self.letters = np.concatenate(mats, axis=0)
-        self.letter_times = np.concatenate(times)
+        t0 = max(self.tau, self.delta)
+        grids = [np.arange(t0, cap + self.delta / 2, self.delta) for cap in self.caps]
+        if max(g.size for g in grids) > 120_000:
+            raise ValueError("certification letter grid too large; increase delta")
+        ts = self.letter_times = np.concatenate(grids)
+        modes = np.repeat(np.arange(len(grids)), [g.size for g in grids])
+        E = _expm_stack(np.stack(self.modes_A)[modes] * ts[:, None, None])
+        self.letters = E * np.exp(-self.log_mu * ts)[:, None, None]
 
     def seed(self, sys, witness: Signal | None):
         if witness is None:
@@ -739,7 +727,7 @@ def rho_upper(
     if lower_estimate.lower <= 0:
         raise ValueError("the rho lower bound must be positive")
     a_max = max(float(np.linalg.norm(m.A, 2)) for m in sys.modes)
-    inflation = math.exp(a_max * delta)
+    inflation = _exp_bound("rho upper bound's grid inflation exp(a_max * delta)", a_max * delta)
 
     first = None
     attempt_eps = eps
@@ -855,11 +843,9 @@ def quasi_extremal_trajectory(
     durations = sorted(set(_check_durations("duration_grid", duration_grid) +
                            tuple(d for _, d in lower_est.witness.segments
                                  if d >= max(tau, 1e-9) - 1e-12)))
-    letters = []
-    for k in range(sys.n_modes):
-        E = _mode_exponentials(sys.A(k), durations)
-        for gi, d in enumerate(durations):
-            letters.append((k, float(d), E[gi]))
+    pairs = [(k, float(d)) for k in range(sys.n_modes) for d in durations]
+    E = _expm_stack([sys.A(k) * d for k, d in pairs])
+    letters = [(k, d, e) for (k, d), e in zip(pairs, E)]
     poly = _witness_polytope(sys, lower_est.witness, mu_hat)
 
     def v_hat(v):

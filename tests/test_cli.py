@@ -55,8 +55,8 @@ class TestRho:
                      "--out", str(out)]) == 0
         assert out.read_text() == (
             "tau,lower_raw,lower_envelope,upper\n"
-            "0.5,2.728941919479467,2.728941919479467,4.110134162934218\n"
-            "2.0,0.637169811666148,0.637169811666148,3.230009717690357\n")
+            "0.5,2.7289419194794684,2.7289419194794684,4.110134162934219\n"
+            "2.0,0.6371698116661481,0.6371698116661481,3.2300097176903573\n")
 
     @pytest.mark.parametrize("argv", [["--tau", "-0.5"], ["--tau", "nan"],
                                       ["--tau-grid", "nan,0.5"], ["--tau-grid=-0.5,0.5"]])
@@ -377,6 +377,21 @@ class TestErrors:
         # exit code 2 is reserved for an undetermined verdict
         assert main(["finiteness", "--class", "arb"]) == 1
         assert "--system" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["rho", "--tau", "1.4"],
+                                      ["finiteness", "--class", "dwell", "--tau", "1.4"]])
+    def test_overflowing_bound(self, tmp_path, argv, capsys):
+        # the nodes pair in the basis diag(1, 1e4): exp(a_max * delta) overflows,
+        # which escaped main as OverflowError
+        T, Ti = np.diag([1.0, 1e4]), np.diag([1.0, 1e-4])
+        sysm = SystemSpec(2, 1, 1, tuple(Mode(T @ m.A @ Ti, T @ m.B, m.C @ Ti)
+                                         for m in rotated_nodes_pair().modes))
+        path = tmp_path / "scaled.json"
+        path.write_text(serialize_system(sysm))
+        assert main(argv[:1] + ["--system", str(path)] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rho upper bound's grid inflation")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

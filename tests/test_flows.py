@@ -480,6 +480,9 @@ class TestExpmStack:
         got = _expm_stack(np.array([[[1.0]], [[-2.0]], [[40.0]]]))
         np.testing.assert_allclose(got[:, 0, 0], np.exp([1.0, -2.0, 40.0]), rtol=2e-13)
 
+    def test_empty_matrices(self):
+        assert _expm_stack(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+
     def test_nonfinite_slices(self):
         good = library_hamiltonians(HAMILTONIAN_SYSTEMS["nodes"]())[:2]
         bad = np.stack([np.full((4, 4), np.nan), np.full((4, 4), np.inf),

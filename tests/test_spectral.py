@@ -1,6 +1,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -70,14 +71,34 @@ class TestSignalSemigroup:
         assert s.segments[1] == (1, 2.7)
 
 
+def certifier_letter_error(A, mu_c=0.9):
+    """Largest error of a one-mode certifier's letters against 50-digit mpmath,
+    relative to each letter's largest entry."""
+    cert = spectral._Certifier([A], 0.5, mu_c, 0.25, 5.0, spectral._BUDGET)
+    cert._build_letters()
+    assert len(cert.letters) == 19
+    worst = 0.0
+    with mpmath.workdps(50):
+        for E, t in zip(cert.letters, cert.letter_times):
+            t = mpmath.mpf(float(t))
+            exact = mpmath.expm(mpmath.matrix(A.tolist()) * t) * mpmath.mpf(mu_c) ** -t
+            exact = np.array(exact.tolist(), dtype=float)
+            worst = max(worst, np.abs(E - exact).max() / np.abs(exact).max())
+    return worst
+
+
 class TestModeExponentials:
+    """Every letter is e^{A t} mu^-t from _expm_stack, however ill-conditioned
+    the mode's eigenvectors (an eigenvector formula lost up to 2e-9 here)."""
+
     def test_defective_mode_falls_back_to_expm(self):
-        # a Jordan block has no eigenvector basis (cond(V) ~ 9e15), so every
-        # exponential comes from scipy's expm, bit for bit
-        A = np.array([[-1.0, 1.0], [0.0, -1.0]])
-        ts = [0.0, 0.3, 1.0, 2.5]
-        got = spectral._mode_exponentials(A, ts)
-        assert np.array_equal(got, np.stack([expm(A * t) for t in ts]))
+        # a Jordan block has no eigenvector basis at all
+        assert certifier_letter_error(np.array([[-1.0, 1.0], [0.0, -1.0]])) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    def test_nearly_defective_letters_match_mpmath(self, eps):
+        # cond(V) ~ 2 / eps
+        assert certifier_letter_error(np.array([[-1.0, 1.0], [0.0, -1.0 - eps]])) <= 1e-13
 
 
 class TestClassTau:
@@ -119,6 +140,17 @@ class TestRhoLower:
         est = rho_lower(sysm, cls)
         assert validate_membership(est.witness, cls).ok
 
+    def test_zero_dimensional_system(self):
+        e = np.zeros((0, 0))
+        sysm = SystemSpec(0, 1, 1, (Mode(e, np.zeros((0, 1)), np.zeros((1, 0))),) * 2)
+        for cls in (ARB, SignalClassSpec.dwell(0.5)):
+            assert rho_lower(sysm, cls).lower == 0.0
+
+    def test_overflowing_abscissa_named(self):
+        # e^800 overflows a double; math.exp raised OverflowError
+        with pytest.raises(ValueError, match="rho lower bound"):
+            rho_lower(autonomous([np.array([[800.0]])]), ARB)
+
     def test_sr_below_norm_sanity(self):
         sysm = example_planar_pair(4.0)
         est = rho_lower(sysm, ARB)
@@ -134,12 +166,13 @@ class TestGoldenRefinementExpm:
     with 63 evaluations (2 + 60 iterations + the midpoint); the k - 1 fixed
     letters' exponentials are built once per position, and the rate of the
     refined witness takes k more at the end.  Bounds and witnesses are pinned to the outputs of the
-    version that rebuilt all k exponentials per evaluation.
+    version that rebuilt all k exponentials per evaluation, with the word
+    search's letters from _expm_stack.
     """
 
     CASES = {
         "nodes_tau0.5": (lambda: rotated_nodes_pair(), SignalClassSpec.dwell(0.5),
-                         "0x1.5d4df8046c83fp+1",
+                         "0x1.5d4df8046c842p+1",
                          ((0, "0x1.0000000000000p-1"), (1, "0x1.0000000000000p-1"))),
         "nodes_arb": (lambda: rotated_nodes_pair(), ARB, "0x1.769557bd8525ep+2",
                       ((0, "0x1.fb5500dd3f418p-3"), (1, "0x1.facccd0769a99p-3"))),
@@ -202,6 +235,15 @@ class TestRhoUpper:
         for tau in (0.5, 1.0, 2.0):
             est = rho_upper(sysm, SignalClassSpec.dwell(tau))
             assert est.lower <= est.upper
+
+    def test_overflowing_inflation_named(self):
+        # the nodes pair in the basis diag(1, 1e4): a_max * delta ~ 1e4, and
+        # math.exp raised OverflowError
+        T, Ti = np.diag([1.0, 1e4]), np.diag([1.0, 1e-4])
+        sysm = SystemSpec(2, 1, 1, tuple(Mode(T @ m.A @ Ti, T @ m.B, m.C @ Ti)
+                                         for m in rotated_nodes_pair().modes))
+        with pytest.raises(ValueError, match="rho upper bound's grid inflation"):
+            rho_upper(sysm, SignalClassSpec.dwell(1.4))
 
     @pytest.mark.parametrize("eps", [0.0, -0.01, math.nan])
     def test_nonpositive_eps_rejected(self, eps):
