@@ -264,7 +264,8 @@ def _run_gallery(args):
         }
         _emit(_json(doc), args.out)
         return 0
-    raise ValueError("gallery requires one of --alpha-star, --emit-example, --verify-lyapunov")
+    raise ValueError("gallery requires one of --alpha-star, --emit-example, --emit-orbit, "
+                     "--verify-lyapunov")
 
 
 def main(argv=None):

@@ -38,7 +38,7 @@ __all__ = [
 
 
 def example_system(alpha: float) -> SystemSpec:
-    """Three-mode example: two output-silent planar modes plus a coupling mode."""
+    """Three-mode example: two input-free (B = 0) planar modes plus a coupling mode; C = e3'."""
     _check_positive_finite("alpha", alpha)
     a = float(alpha)
     A1 = [[-1.0, -a, 0.0], [a, -1.0, 0.0], [0.0, 0.0, -1.0]]

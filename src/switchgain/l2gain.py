@@ -9,10 +9,10 @@ the discretized input-output operator provides an independent lower-bound
 oracle and witness inputs.
 
 The Riccati test needs no ODE solver.  Its answer depends only on the
-input-output map, so it runs on the minimal realization (dimension 0: every
-gamma passes), which _kernel builds once per system and horizon and keeps
-for the last pair: a gain_search shares it with its candidates and with
-gain_for_signal calls after it.
+input-output map, so it runs on the minimal realization, which _kernel
+builds once per system and horizon and keeps for the last pair: a
+gain_search shares it with its candidates and with gain_for_signal calls
+after it.
 In backward time, on a segment with constant mode, P = Y X^-1
 where [X; Y]' = H [X; Y], H = [[-A, -gamma^-2 BB'], [C'C, A']], X(0) = I,
 Y(0) = P0; so [X; Y](h) = expm(H h) [I; P0] is exact, and the solution
@@ -50,28 +50,29 @@ bound (escape_bounds), the trial (_escapes) and the step with its guard
 and halving (_substep).  _riccati_feasible tests one gamma segment after
 segment, on stacks of one.  _riccati_rows decides many (signal, gamma)
 rows in one backward pass: it chains whole-segment steps P -> Y X^-1 for
-every row (the flow is exact whenever the segment holds no escape), with
-the exponentials of all (segment, row) pairs from one batched Pade call,
-and then certifies every pair from the P the chain gave at its start.  A
-pair whose segment lies within half the escape-time bound holds no
-escape; the others run the substep rule and the trial above (_certify),
-all pairs at once.  The argument is the same per row: a row passes only if
-no segment of its chain can hold an escape and |P| stays below
-ESCAPE_NORM, and its first failure in backward order is the one the
-one-gamma test meets.  The bracket search and the bisection decide several
-gammas per pass on signals of _SWEEP_SEGMENTS segments or more (the powers
-of two near the one needed, the 2^3 - 1 midpoints of the next three
-bisection steps) and then walk the same dyadic path as one gamma at a
-time, so the returned value is the same.
+every row, with the exponentials of all (segment, row) pairs from one
+batched Pade call, and then certifies every pair from the P the chain gave
+at its start, all pairs at once (the argument is in its docstring).  Both
+stay: on a stack of one, _certify costs more per substep than
+_riccati_feasible (127 against 106 us, nodes pair, one segment, 15
+substeps, 2-vCPU Xeon), and long signals give it stacks of 200 to 1000.
+The bracket search and the bisection decide several gammas per pass on
+signals of _SWEEP_SEGMENTS segments or more (the powers of two near the
+one needed, the 2^3 - 1 midpoints of the next three bisection steps) and
+then walk the same dyadic path as one gamma at a time, so the returned
+value is the same.
 
-_riccati_rows raises no budget error: a row past _SUBSTEP_BUDGET holds the
-one-gamma test's error, which a caller raises only when it reads that row.
 _bisection is the one bisection, for gain_for_signal and for each
-gain_search candidate; it fails every gamma at or below its floor without a
-test.  gain_search probes chunks of candidates at the best gain so far, one
-_riccati_rows pass each, and bisects a failed one above that best.  The
-best changes only there, and the chunk's later decisions are then dropped,
-so each decision read was taken at the best of its turn, as one at a time.
+gain_search candidate.  Zero rule: it returns 0.0 without a test when no
+input can reach an output, that is when the minimal realization has
+dimension 0, or every mode of the signal has B = 0, or every one C = 0,
+read exactly on the caller's system; so no schedule meets a
+zero-dimensional kernel.  It fails every gamma at or below its floor
+without a test.  gain_search probes chunks of candidates at the best gain
+so far when that is positive, one _riccati_rows pass each, and bisects a
+failed one above that best.  The best changes only there, and the chunk's
+later decisions are then dropped, so each decision read was taken at the
+best of its turn, as one at a time.
 """
 
 from __future__ import annotations
@@ -220,15 +221,16 @@ def _balancing_transform(ms, horizon):
 class _RiccatiKernel:
     """Riccati escape-time test on the minimal realization of one system.
 
-    What the test needs of a system and a horizon, built by _kernel: the
-    modes whose output map is zero (a signal of only those has gain 0), the
-    reduction, the bases for the substep bound (the minimal one and, when it
-    exists, the balanced one for the horizon), and per mode A, BB', A', C'C
-    and |B|^2 in each basis, stacked over the modes.
+    What the test needs of a system and a horizon, built by _kernel: which
+    modes have B = 0 and which C = 0 (for the zero rule), the reduction, the
+    bases for the substep bound (the minimal one and, when it exists, the
+    balanced one for the horizon), and per mode A, BB', A', C'C and |B|^2 in
+    each basis, stacked over the modes.
     """
 
     def __init__(self, sys, horizon):
-        self.silent = [not m.C.any() for m in sys.modes]
+        # per mode of sys: whether its B and whether its C is exactly zero
+        self.zero_bc = np.array([[not m.B.any(), not m.C.any()] for m in sys.modes])
         ms = minimal_realization(sys).sys_min
         self.n = 0 if ms is None else ms.n
         if ms is None:
@@ -376,12 +378,9 @@ def _riccati_feasible(kern, rev_segs, gamma):
     of a segment, one trial across it first looks for a certified escape
     (_escapes).
     """
-    n = kern.n
-    if n == 0:
-        return True
     q = 1.0 / (gamma * gamma)
     qs = np.array([q])
-    P = np.zeros((1, n, n))
+    P = np.zeros((1, kern.n, kern.n))
     with np.errstate(over="ignore", invalid="ignore"):  # X and Y are tested for finiteness
         for seg, (dt, i) in enumerate(rev_segs):
             mode = np.array([i])
@@ -485,8 +484,7 @@ def _riccati_rows(kern, rows):
     test would raise after _SUBSTEP_BUDGET substeps, the row holds that error.
     """
     lens = np.array([len(rev) for rev, _ in rows], dtype=int)
-    n = kern.n
-    if n == 0 or not lens.any():
+    if not lens.any():
         return np.full(len(rows), True, dtype=object)
     q = np.array([1.0 / (gamma * gamma) for _, gamma in rows])
     # pairs (segment index, row), padded with (0.0, 0) past a row's end
@@ -495,13 +493,13 @@ def _riccati_rows(kern, rows):
     H = kern.H0[modes] + q[:, None, None] * kern.Hq[modes]
     inside = np.arange(len(pairs))[:, None] < lens
     # per pair: P at the segment start, whether _certify ran, and its status
-    starts = np.zeros(modes.shape + (n, n))
+    starts = np.zeros(modes.shape + (kern.n, kern.n))
     certified = np.zeros(modes.shape, dtype=bool)
     status = np.full(modes.shape, _PASSED)
     stop = lens.copy()    # where each row left the chain
     ends = set(lens.tolist())
     alive = np.flatnonzero(lens)
-    P = np.zeros((len(alive), n, n))
+    P = np.zeros((len(alive), kern.n, kern.n))
     with np.errstate(over="ignore", invalid="ignore"):  # X and Y are tested for finiteness
         whole = np.empty_like(H)
         whole[inside] = _exponentials(H[inside], dts[inside])
@@ -568,14 +566,15 @@ def _bisection_points(lo, hi, tol, depth):
 def _bisection(kern, rev_segs, tol, floor=0.0):
     """Gain of one signal by Riccati bisection: |hi - lo| < tol * max(hi, 1).
 
-    Every gamma at or below floor fails without a test; the value does not
-    depend on a floor below the gain (gain_search's failed probe).  On a
-    signal of _SWEEP_SEGMENTS segments or more, each decision comes from one
-    _riccati_rows pass over the gamma asked for and the open values the
-    search lists next, whose errors are raised only for a gamma asked for;
-    on a shorter one, from the test of that gamma alone.
+    0.0 by the zero rule.  Every gamma at or below floor fails without a test;
+    the value does not depend on a floor below the gain (gain_search's failed
+    probe).  On a signal of _SWEEP_SEGMENTS segments or more, each decision
+    comes from one _riccati_rows pass over the gamma asked for and the open
+    values the search lists next, whose errors are raised only for a gamma
+    asked for; on a shorter one, from the test of that gamma alone.
     """
-    if all(kern.silent[i] for _, i in rev_segs):
+    # zero rule: no input enters (every B = 0) or no output leaves (every C = 0)
+    if kern.n == 0 or kern.zero_bc[[i for _, i in rev_segs]].all(axis=0).any():
         return 0.0
     decided = {}
 
@@ -639,7 +638,7 @@ def gain_for_signal(
     Bisection tolerance is relative: |hi - lo| < tol * max(hi, 1), with a
     finite tol > 0 and T in (0, sig.horizon].  With compute_witness, a power
     iteration on the grid of step T / 400 attaches a witness input and its
-    energy ratio (none for a zero gain: no mode of the signal has an output).
+    energy ratio (none for a zero gain: no input of the signal reaches an output).
     """
     _check_positive_finite("tol", tol)
     if not 0 < T <= sig.horizon * (1 + 1e-9):

@@ -645,8 +645,8 @@ class _Certifier:
         return max(self.norms)
 
 
-def _mode_kappa(A):
-    """Similarity conditioning for the bound |e^{At}| <= kappa e^{alpha t}."""
+def _mode_kappa(A, alpha):
+    """Similarity conditioning for |e^{At}| <= kappa e^{alpha t}, alpha A's spectral abscissa."""
     try:
         w, V = np.linalg.eig(A)
         cond = np.linalg.cond(V)
@@ -654,7 +654,6 @@ def _mode_kappa(A):
             return float(cond), ()
     except np.linalg.LinAlgError:
         pass
-    alpha = _spectral_abscissa(A)
     ts = np.linspace(0.1, 50.0, 200)
     kappa = max(np.linalg.norm(expm(A * t), 2) * math.exp(-alpha * t) for t in ts)
     return 2.0 * float(kappa), ("kappa_sampled",)
@@ -662,30 +661,31 @@ def _mode_kappa(A):
 
 def _certify_at(sys, tau, mu_c, delta, cap, budget, witness):
     """One certification attempt; returns (certifier, stabilized), the flags in certifier.flags."""
-    modes_A = [m.A for m in sys.modes]
-    cert = _Certifier(modes_A, tau, mu_c, delta, cap, budget)
+    cert = _Certifier([m.A for m in sys.modes], tau, mu_c, delta, cap, budget)
     cert.seed(sys, witness)
     stabilized = cert.run()
     if stabilized:
         # long-dwell closure: extend the tested grid until the per-mode
         # eigen-envelope kappa e^{alpha t} falls below mu_c^t in the v-norm
+        envelopes = []
+        for k, A in enumerate(cert.modes_A):
+            alpha = _spectral_abscissa(A)
+            if alpha >= cert.log_mu - 1e-12:
+                cert.flags.add("long_dwell_heuristic")
+                continue
+            kappa, kf = _mode_kappa(A, alpha)
+            cert.flags.update(kf)
+            envelopes.append((k, alpha, kappa))
         for _ in range(3):
             vmax = cert.v_max()
-            need = []
-            for k, A in enumerate(modes_A):
-                alpha = _spectral_abscissa(A)
-                if alpha >= cert.log_mu - 1e-12:
-                    cert.flags.add("long_dwell_heuristic")
-                    continue
-                kappa, kf = _mode_kappa(A)
-                cert.flags.update(kf)
+            extended = False
+            for k, alpha, kappa in envelopes:
                 t_star = math.log(max(vmax * kappa, 1.0)) / (cert.log_mu - alpha)
                 if t_star > cert.caps[k] + 1e-9:
-                    need.append((k, t_star))
-            if not need:
+                    cert.caps[k] = t_star + cert.delta
+                    extended = True
+            if not extended:
                 break
-            for k, t_star in need:
-                cert.caps[k] = t_star + cert.delta
             stabilized = cert.run()
             if not stabilized:
                 break

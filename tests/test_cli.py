@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from switchgain.cli import main
-from switchgain.core import serialize_signal, serialize_system, Signal
+from switchgain.core import serialize_signal, serialize_system, Signal, SignalClassSpec
 from switchgain.gallery import common_lyapunov_modes, example_system, rotated_nodes_pair
 from switchgain import Mode, SystemSpec, l2gain
 
@@ -181,6 +181,20 @@ class TestGain:
         assert all(a >= b for a, b in zip(gains, gains[1:]))
         assert gains[-1] < gains[0]
 
+    def test_grid_step_search(self, tmp_path):
+        # --grid-step 0.5 below --T 2 gives the durations 0.5, 1.0 and 1.5
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        out = tmp_path / "gain.json"
+        assert main(["gain", "--system", str(path), "--class", "dwell", "--tau", "0.5",
+                     "--T", "2", "--grid-step", "0.5", "--max-switches", "2",
+                     "--out", str(out)]) == 0
+        est = l2gain.gain_search(rotated_nodes_pair(), SignalClassSpec.dwell(0.5), 2.0,
+                                 max_switches=2, duration_grid=(0.5, 1.0, 1.5))
+        doc = json.loads(out.read_text())
+        assert doc["value"] == est.value
+        assert doc["witness_signal"] == [list(seg) for seg in est.witness_signal.segments]
+
     def test_search_gain(self, scalar_system_file, tmp_path):
         out = tmp_path / "gain.json"
         code = main(["gain", "--system", scalar_system_file, "--class", "arb",
@@ -254,6 +268,17 @@ class TestGallery:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["max_violation"] <= 1e-3
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "gallery requires one of --alpha-star, --emit-example, --emit-orbit, "
+             "--verify-lyapunov"),
+        (["--emit-example"], "--emit-example requires --alpha"),
+    ], ids=["no_mode", "emit_example_without_alpha"])
+    def test_missing_mode_or_alpha(self, argv, message, capsys):
+        assert main(["gallery"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestTauMinCommand:

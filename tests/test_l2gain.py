@@ -215,6 +215,8 @@ class TestRiccatiKernelParity:
         gain = gain_for_signal(sysm, sig, T, tol=self.TOL).value
         assert abs(gain - rk_gain(sysm, rev, self.TOL)) <= self.TOL * max(gain, 1.0)
         kern = _RiccatiKernel(sysm, T)
+        if kern.n == 0:
+            return    # b_zero: no schedule runs on a zero-dimensional kernel
         grid = (0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 4.0, *(gain * f for f in (0.5, 0.98, 1.02, 2.0)))
         for gamma in grid:
             assert _riccati_feasible(kern, rev, gamma) == rk_riccati_feasible(sysm, rev, gamma), \
@@ -227,13 +229,15 @@ class TestRiccatiKernelParity:
         rev = _reversed_segments(sig, T)
         gain = gain_for_signal(sysm, sig, T, tol=self.TOL).value
         kern = _RiccatiKernel(sysm, T)
+        if kern.n == 0:
+            assert gain == 0.0    # b_zero: the zero rule, no schedule
+            return
         grid = [gain * (1.0 + f) for f in np.linspace(-0.1, 0.1, 41)] + [gain * 0.5, gain * 2.0]
         scalar = [_riccati_feasible(kern, rev, gamma) for gamma in grid]
         assert _riccati_rows(kern, [(rev, g) for g in grid]).tolist() == scalar
-        # the stack holds feasible and infeasible values (b_zero has zero
-        # transfer: every gamma passes), and each decides alone as it does in
-        # the stack
-        assert any(scalar) and (name == "b_zero") == all(scalar)
+        # the stack holds feasible and infeasible values, and each decides
+        # alone as it does in the stack
+        assert any(scalar) and not all(scalar)
         assert [bool(_riccati_rows(kern, [(rev, g)])[0]) for g in grid[::8]] == scalar[::8]
 
 
@@ -332,6 +336,9 @@ class TestRiccatiRows:
         rev = _reversed_segments(sig, T)
         kern = _RiccatiKernel(sysm, T)
         gain = l2gain._bisection(kern, rev, 1e-6)
+        if kern.n == 0:
+            assert gain == 0.0    # b_zero: the zero rule, no schedule
+            return
         rows = [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(rev[-1:], gain)]
         assert _riccati_rows(kern, rows).tolist() == [_riccati_feasible(kern, r, g)
                                                       for r, g in rows]
@@ -416,7 +423,8 @@ class TestGainSearchOracle:
         "nodes_c6_dwell1.1_T2": lambda: (rotated_nodes_pair(-0.5, -3.0, 2.0),
                                          SignalClassSpec.dwell(1.1), 2.0, TestGainSearchOracle.C6),
         "planted3_arb_T0.5": lambda: (planted3(), ARB, 0.5, {}),
-        # the first candidates' gain is 2^-41: probes at that incumbent fail
+        # the first candidates take no input (B = 0): their gain is 0.0, and
+        # the candidates after them are bisected until one has a positive gain
         "example_dwell0.5_T1": lambda: (example_system(4.5), SignalClassSpec.dwell(0.5), 1.0, {}),
         "example_arb_T1_norefine": lambda: (example_system(4.5), ARB, 1.0,
                                             {"max_switches": 2, "refine": False}),
@@ -734,11 +742,11 @@ class TestBisectionProbes:
         # gain below 1: the downward search ends at 2^0 after probing 2^-1
         "scalar_below_one": (lambda: single_mode([[-1.0]], [[1.0]], [[1.0]]),
                              Signal(((0, 5.0),)), 5.0, 1e-4, 15, "0x1.c444000000000p-1"),
-        # the downward search stops at the 2^-40 floor and 2^-41 is never
-        # probed: with tol 1e-4 the loop does not run, with 1e-13 it probes 2^-41
-        "zero_transfer": (zero_transfer, ZERO_TRANSFER_SIG, 2.0, 1e-4, 41, "0x1.0000000000000p-41"),
-        "zero_transfer_fine": (zero_transfer, ZERO_TRANSFER_SIG, 2.0, 1e-13, 45,
-                               "0x1.0000000000000p-45"),
+        # a zero-dimensional minimal realization: 0.0 at any tol, without a
+        # test (the version that bisected stopped at the 2^-40 floor with 2^-41,
+        # and at tol 1e-13 with 2^-45)
+        "zero_transfer": (zero_transfer, ZERO_TRANSFER_SIG, 2.0, 1e-4, 0, "0x0.0p+0"),
+        "zero_transfer_fine": (zero_transfer, ZERO_TRANSFER_SIG, 2.0, 1e-13, 0, "0x0.0p+0"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -763,6 +771,65 @@ class TestBisectionProbes:
         assert len(calls) + len(passes) == 57
         assert est.value == float.fromhex("0x1.b84c000000000p+1")
         assert est.witness_signal.segments == ((1, 1.5), (0, 1.5))
+
+
+def input_then_output():
+    """Mode 0 takes input and has no output (C = 0), mode 1 the reverse (B = 0)."""
+    A = np.array([[-1.0]])
+    return SystemSpec(1, 1, 1, (Mode(A, np.array([[1.0]]), np.array([[0.0]])),
+                                Mode(A, np.array([[0.0]]), np.array([[1.0]]))))
+
+
+class TestZeroGainRule:
+    """When no input can reach an output, the gain is 0.0 without a Riccati test."""
+
+    # name -> () -> (system, signal, horizon); the minimal realizations are
+    # not zero-dimensional
+    CASES = {
+        # the example's planar modes take no input (B = 0); the version that
+        # bisected ran 41 Riccati tests down to the 2^-40 floor and gave 2^-41
+        "example_mode0": lambda: (example_system(4.5), Signal(((0, 1.0),)), 1.0),
+        "example_mode1": lambda: (example_system(4.5), Signal(((1, 1.0),)), 1.0),
+        "example_modes01": lambda: (example_system(4.5), Signal(((0, 0.4), (1, 0.6))), 1.0),
+        # C = 0: the one case the version that bisected also answered without a test
+        "input_only": lambda: (input_then_output(), Signal(((0, 2.0),)), 2.0),
+        "output_only": lambda: (input_then_output(), Signal(((1, 2.0),)), 2.0),   # B = 0
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_zero_without_a_test(self, monkeypatch, name):
+        sysm, sig, T = self.CASES[name]()
+        assert minimal_realization(sysm).dim > 0
+        calls = recording(monkeypatch, l2gain, "_riccati_feasible")
+        passes = recording(monkeypatch, l2gain, "_riccati_rows")
+        est = gain_for_signal(sysm, sig, T, compute_witness=True)
+        assert est.value == 0.0 and est.witness_input is None
+        assert calls == [] and passes == []
+
+    def test_input_then_output_is_bisected(self):
+        # no mode has both B and C, yet the input of mode 0 reaches the output
+        # of mode 1: a rule that asks each mode for B = 0 or C = 0 would say 0
+        sysm, sig = input_then_output(), Signal(((0, 1.0), (1, 1.0)))
+        gain = gain_for_signal(sysm, sig, 2.0).value
+        want = rk_gain(sysm, _reversed_segments(sig, 2.0), 1e-4)
+        assert 0.1 < gain and abs(gain - want) <= 1e-4 * max(want, 1.0)
+
+    @pytest.mark.parametrize("T, value, witness", [
+        (1.0, "0x1.db58000000000p-2", ((2, 1.0),)),
+        (1.5, "0x1.3ad4000000000p-1", ((2, 1.5),)),
+    ])
+    def test_example_search_skips_the_floor(self, monkeypatch, T, value, witness):
+        # the planar candidates come first and are 0.0 now; the version that
+        # gave them 2^-41 probed every later candidate there: 56 one-gamma
+        # tests and 9 probe rows per search against 15 and 6
+        calls = recording(monkeypatch, l2gain, "_riccati_feasible")
+        passes = recording(monkeypatch, l2gain, "_riccati_rows")
+        est = gain_search(example_system(alpha_star(1e-4)), SignalClassSpec.dwell(0.5), T)
+        assert est.value == float.fromhex(value)
+        assert est.witness_signal.segments == witness
+        assert len(calls) <= 15
+        gammas = [args[2] for args in calls] + [g for _, rows in passes for _, g in rows]
+        assert min(gammas) > 2.0 ** -40
 
 
 class TestGainSearch:

@@ -101,6 +101,18 @@ class TestModeExponentials:
         assert certifier_letter_error(np.array([[-1.0, 1.0], [0.0, -1.0 - eps]])) <= 1e-13
 
 
+class TestModeKappa:
+    def test_jordan_block_takes_the_sampled_path(self):
+        # no eigenvector basis (cond(V) ~ 1e16), so kappa is twice the largest
+        # sample of |e^{Jt}| e^t = (t + sqrt(t^2 + 4)) / 2 on t in [0.1, 50]:
+        # it grows like t and peaks at t = 50, the end of the range, so no
+        # kappa bounds it for all t (the baseline a Lyapunov bound must replace)
+        J = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        kappa, flags = spectral._mode_kappa(J, spectral._spectral_abscissa(J))
+        assert flags == ("kappa_sampled",)
+        assert kappa == pytest.approx(50.0 + math.sqrt(2504.0), rel=1e-12)
+
+
 class TestClassTau:
     @pytest.mark.parametrize("n0, lower, upper", [(1, 0.7, 0.7), (3, 0.7, 0.0)])
     def test_avg_dwell(self, n0, lower, upper):
