@@ -18,11 +18,13 @@ other steps, about one per segment end, are clipped by a _Cursor, which
 resumes each query at the segment where the previous one stopped, so they
 cost O(segments + steps) in all.  Each distinct (mode, span) pair of the
 interior steps is composed once, and every (mode, span rounded to 15
-digits) exponential comes from one stacked expm call.
+digits) exponential comes from one _expm_stack call.
 
-The result is the same to the bit as clipping every step with the cursor
-and composing its spans.  For an interior step, s = k dt and t = s + dt in
-floating point, inside segment j (end e_j, previous end e_{j-1}, or 0):
+The operators are the same to the bit as clipping every step with the
+cursor and composing its spans, each exponential built alone (a slice of
+_expm_stack does not depend on the rest of its stack).  For an interior
+step, s = k dt and t = s + dt in floating point, inside segment j (end e_j,
+previous end e_{j-1}, or 0):
 e_{j-1} <= s - margin and e_j >= t + margin.  The cursor skips every
 segment before j, since e_i - s <= 0 there.  It stops at j, since
 e_j - s >= t - s > 1e-14 (rounding is monotone).  It returns
@@ -36,13 +38,21 @@ signal's cumulative ends, summed in segment order), with the same
 inclusion rule.  Each sample's output mode is a searchsorted over the same
 ends, as Signal.mode_at bisects them.
 
+The states are not stepped one by one.  The recursion x_{k+1} = Phi_k x_k +
+Gamma_k u_k is a unit lower block-bidiagonal system with a band of 2n - 1
+subdiagonals, and _step_solver solves it, or its transpose for the power
+iteration's adjoint, with one LAPACK substitution (dtbtrs).  The solve sums
+each step's terms in another order than phi @ x + gu, so the states agree
+with the step-by-step recursion to rounding, not to the bit.
+
 _expm_stack is a batched exponential: Pade degree 13 with scaling and
 squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005) on a (K, N, N) stack
 in one pass of numpy calls.  Its cost is mostly per call, so it pays for
 stacks of more than a few matrices; l2gain's Riccati row pass builds every
-whole-segment exponential of a backward pass with it, and spectral each of
-its letter grids.  Each slice is the exact exponential of a matrix within a
-relative backward error of about unit roundoff of the one given.
+whole-segment exponential of a backward pass with it, spectral each of its
+letter grids, and _zoh_operators every step exponential of a grid.  Each
+slice is the exact exponential of a matrix within a relative backward error
+of about unit roundoff of the one given.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.lapack import dtbtrs
 
 from .core import Signal, SystemSpec, _check_positive_finite
 
@@ -176,9 +187,19 @@ def _expm_stack(M):
     return R
 
 
+def _check_forward(sig, names, s, t):
+    """Reject an interval [s, t] that runs backwards, naming its two ends.
+
+    Within the cursor's tolerance of 1e-9 max(1, horizon) it is taken as empty.
+    """
+    if s > t + 1e-9 * max(1.0, sig.horizon):
+        raise ValueError(f"{names[0]}={s} exceeds {names[1]}={t}: the interval runs backwards")
+
+
 def transition(sys: SystemSpec, sig: Signal, s: float, t: float) -> np.ndarray:
     """Flow Phi(t, s) of xdot = A(sigma(t)) x along the signal, s <= t."""
     sig.check_modes(sys)
+    _check_forward(sig, ("s", "t"), s, t)
     phi = np.eye(sys.n)
     for lo, hi, i in _Cursor(sig).clip(s, t):
         phi = expm(sys.A(i) * (hi - lo)) @ phi
@@ -210,8 +231,9 @@ def _gram_block(A, G, dt):
 
 
 def gramians(sys: SystemSpec, sig: Signal, t0: float, t1: float) -> GramianPair:
-    """Windowed Gramians on [t0, t1], accumulated exactly across segments."""
+    """Windowed Gramians on [t0, t1], t0 <= t1, accumulated exactly across segments."""
     sig.check_modes(sys)
+    _check_forward(sig, ("t0", "t1"), t0, t1)
     n = sys.n
     wc = np.zeros((n, n))
     wo = np.zeros((n, n))
@@ -241,30 +263,37 @@ def _zoh_operators(sys, step_spans):
 
     The exponential of each (mode, h rounded to 15 digits) key is built once,
     from the first h in list order that meets the key; all of them come from
-    one stacked expm call, which runs the single-matrix algorithm slice by
-    slice.  Each list is composed from the identity, span after span.
+    one _expm_stack call.  Each list is composed span after span, one stacked
+    matmul per span position over all lists; a list of no span gives (I, 0).
     """
     n, m = sys.n, sys.m
-    step_keys = [[(i, round(h, 15)) for h, i in spans] for spans in step_spans]
-    first = {}              # key -> the span length its exponential is built from
-    for spans, keys in zip(step_spans, step_keys):
-        for (h, _), key in zip(spans, keys):
-            first.setdefault(key, h)
+    slot = {}               # key -> its slice of the stack
+    modes, hs, rows = [], [], []
+    for spans in step_spans:
+        row = []
+        for h, i in spans:
+            key = (i, round(h, 15))
+            if key not in slot:
+                slot[key] = len(hs)
+                modes.append(i)
+                hs.append(h)
+            row.append(slot[key])
+        rows.append(row)
     AB = np.stack([np.hstack([mode.A, mode.B]) for mode in sys.modes])
-    M = np.zeros((len(first), n + m, n + m))
-    M[:, :n] = AB[[i for i, _ in first]] * np.array(list(first.values()))[:, None, None]
-    E = expm(M)
-    cache = dict(zip(first, zip(E[:, :n, :n], E[:, :n, n:])))
-    phis = np.empty((len(step_spans), n, n))
-    gams = np.empty((len(step_spans), n, m))
-    for k, keys in enumerate(step_keys):
-        phi = np.eye(n)
-        gam = np.zeros((n, m))
-        for key in keys:
-            ephi, egam = cache[key]
-            phi = ephi @ phi
-            gam = ephi @ gam + egam
-        phis[k], gams[k] = phi, gam
+    M = np.zeros((len(hs), n + m, n + m))
+    M[:, :n] = AB[modes] * np.array(hs)[:, None, None]
+    E = _expm_stack(M)
+    # one more slice, (I, 0), pads each list to the longest: I Phi = Phi and
+    # I Gamma + 0 = Gamma exactly, so a list's bits do not depend on it
+    ephi = np.concatenate([E[:, :n, :n], np.eye(n)[None]])
+    egam = np.concatenate([E[:, :n, n:], np.zeros((1, n, m))])
+    slices = np.full((len(rows), max([1, *map(len, rows)])), len(hs))
+    for k, row in enumerate(rows):
+        slices[k, :len(row)] = row
+    phis, gams = ephi[slices[:, 0]], egam[slices[:, 0]]
+    for col in slices.T[1:]:
+        step = ephi[col]
+        phis, gams = step @ phis, step @ gams + egam[col]
     return phis, gams
 
 
@@ -311,15 +340,39 @@ def _zoh_grid(sys, sig, steps, dt):
     return phis[row], gams[row], seg_modes[np.minimum(at, last)]
 
 
+def _step_solver(phis):
+    """Solves with the matrix L of the step recursion, for Phi = phis.
+
+    L is unit lower block-bidiagonal on the unknowns x_1..x_K: block row k
+    reads x_{k+1} - Phi_k x_k (x_0 = 0, so Phi_0 never enters).  solve(rhs)
+    runs the recursion x_{k+1} = Phi_k x_k + rhs_k forward, and
+    solve(rhs, "T") its adjoint lam_k = Phi_{k+1}^T lam_{k+1} + rhs_k
+    backward; rhs and the result are (K, n).  L is a band of 2n - 1
+    subdiagonals, so each solve is one LAPACK dtbtrs call, substitution
+    without a factorization.
+    """
+    K, n, _ = phis.shape
+    band = np.zeros((K, n, 2 * n))     # band[k, c, d] = L[k n + c + d, k n + c]
+    r, c = np.indices((n, n))
+    band[:-1, c, n + r - c] = -phis[1:]
+    ab = band.reshape(K * n, 2 * n).T  # LAPACK's lower band storage, Fortran order
+
+    def solve(rhs, trans="N"):
+        return dtbtrs(ab, rhs.reshape(-1), uplo="L", trans=trans, diag="U")[0].reshape(K, n)
+
+    return solve
+
+
 def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
     """Simulate xdot = A x + B u with zero-order-hold input samples u.
 
     u has one row per step of size dt; the total u span must match the signal
-    horizon.  Propagation is exact per step (homogeneous exponential plus the
-    integrated input term), including steps that straddle a switch.  The
-    step operators come from _zoh_grid, so only the steps near a segment end
-    are clipped; the result is the same to the bit as composing every step's
-    cursor spans.
+    horizon, and x0 has n entries.  Propagation is exact per step
+    (homogeneous exponential plus the integrated input term), including steps
+    that straddle a switch.  The step operators come from _zoh_grid, with the
+    bits of clipping every step with the cursor; the states x_1..x_K solve the
+    step recursion, with Phi_0 x0 added to its first input term, in one
+    banded triangular solve, within rounding of the step-by-step recursion.
     """
     sig.check_modes(sys)
     u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -327,6 +380,10 @@ def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
         u = u.T
     if u.shape[1] != sys.m:
         raise ValueError(f"input samples must have {sys.m} columns, got {u.shape[1]}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size != sys.n:
+        raise ValueError(f"x0 must have n = {sys.n} entries, got {x0.size}")
+    x0 = x0.reshape(sys.n)
     _check_positive_finite("grid step dt", dt)
     steps = u.shape[0]
     horizon = sig.horizon
@@ -338,13 +395,11 @@ def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
     modes = np.append(modes, sig.mode_at(times[-1]))
     # a stacked matmul computes each slice with the product one step would
     # make, and broadcasting keeps each C in its own memory layout
-    inputs = np.matmul(gams, u[:, :, None])[:, :, 0]
-    x = np.asarray(x0, dtype=float).reshape(sys.n)
+    rhs = np.matmul(gams, u[:, :, None])[:, :, 0]
+    rhs[0] += phis[0] @ x0
     states = np.empty((steps + 1, sys.n))
-    states[0] = x
-    for k, (phi, gu) in enumerate(zip(phis, inputs), 1):
-        x = phi @ x + gu
-        states[k] = x
+    states[0] = x0
+    states[1:] = _step_solver(phis)(rhs)
     outputs = np.empty((steps + 1, sys.p))
     for i, mode in enumerate(sys.modes):
         at = modes == i

@@ -86,12 +86,10 @@ import numpy as np
 # not used here; perfbench's test_uninstall_restores_the_library reads l2gain.solve_ivp
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_durations,
                    _check_positive_finite, validate_membership)
-from .flows import _Cursor, _expm_stack, _gram_block, _zoh_grid
+from .flows import _Cursor, _expm_stack, _gram_block, _step_solver, _zoh_grid
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
 from .spectral import RhoEstimate, certification_grid, class_tau, rho_lower, rho_upper
 
@@ -162,10 +160,24 @@ class TauMinResult:
 # Riccati bounded-real test
 
 
+class _Segments(tuple):
+    """(duration, mode) pairs, with the durations and modes also as arrays.
+
+    The arrays, dts and modes, are built once with the pairs; every row pass
+    over the same segments fills its (segment, row) table from them.
+    """
+
+    def __new__(cls, pairs):
+        self = super().__new__(cls, pairs)
+        self.dts = np.array([dt for dt, _ in self], dtype=float)
+        self.modes = np.array([i for _, i in self], dtype=int)
+        return self
+
+
 def _reversed_segments(sig, T):
     """Segments of the signal on [0, T], listed backwards from T."""
     spans = _Cursor(sig).clip(0.0, T)
-    return [(hi - lo, i) for lo, hi, i in reversed(spans)]
+    return _Segments((hi - lo, i) for lo, hi, i in reversed(spans))
 
 
 def _escape_time(a, b, c):
@@ -482,16 +494,22 @@ def _riccati_rows(kern, rows):
     decides as the one-gamma test would; later pairs start from a chain that
     may have crossed an escape and do not count.  An object array: where the
     test would raise after _SUBSTEP_BUDGET substeps, the row holds that error.
+    A row's segments fill the pass's (segment, row) table from their arrays
+    when they are _Segments, as _reversed_segments gives them; any other
+    sequence of pairs is converted first.
     """
     lens = np.array([len(rev) for rev, _ in rows], dtype=int)
     if not lens.any():
         return np.full(len(rows), True, dtype=object)
     q = np.array([1.0 / (gamma * gamma) for _, gamma in rows])
-    # pairs (segment index, row), padded with (0.0, 0) past a row's end
-    pairs = np.array(list(itertools.zip_longest(*(rev for rev, _ in rows), fillvalue=(0.0, 0))))
-    dts, modes = pairs[..., 0], pairs[..., 1].astype(int)
+    # (segment index, row) table, padded with (0.0, 0) past a row's end
+    dts = np.zeros((lens.max(), len(rows)))
+    modes = np.zeros(dts.shape, dtype=int)
+    for r, (rev, _) in enumerate(rows):
+        rev = rev if isinstance(rev, _Segments) else _Segments(rev)
+        dts[:len(rev), r], modes[:len(rev), r] = rev.dts, rev.modes
     H = kern.H0[modes] + q[:, None, None] * kern.Hq[modes]
-    inside = np.arange(len(pairs))[:, None] < lens
+    inside = np.arange(len(dts))[:, None] < lens
     # per pair: P at the segment start, whether _certify ran, and its status
     starts = np.zeros(modes.shape + (kern.n, kern.n))
     certified = np.zeros(modes.shape, dtype=bool)
@@ -503,7 +521,7 @@ def _riccati_rows(kern, rows):
     with np.errstate(over="ignore", invalid="ignore"):  # X and Y are tested for finiteness
         whole = np.empty_like(H)
         whole[inside] = _exponentials(H[inside], dts[inside])
-        for seg in range(len(pairs)):
+        for seg in range(len(dts)):
             starts[seg, alive] = P
             E = whole[seg, alive]
             P_next, ok = _hamiltonian_step(E, P)
@@ -526,7 +544,7 @@ def _riccati_rows(kern, rows):
                 if not alive.size:
                     break
         # certify every pair before each row left the chain
-        seg_of, row_of = np.nonzero(~certified & (np.arange(len(pairs))[:, None] < stop))
+        seg_of, row_of = np.nonzero(~certified & (np.arange(len(dts))[:, None] < stop))
         if seg_of.size:
             Ps = starts[seg_of, row_of]
             bound = kern.escape_bounds(modes[seg_of, row_of], q[row_of], Ps)
@@ -625,6 +643,12 @@ def _bisection(kern, rev_segs, tol, floor=0.0):
     return 0.5 * (lo + hi)
 
 
+def _check_horizon(sig, T):
+    """Reject a horizon T outside (0, sig.horizon], naming it."""
+    if not 0 < T <= sig.horizon * (1 + 1e-9):
+        raise ValueError(f"horizon T={T} outside the signal horizon {sig.horizon}")
+
+
 def gain_for_signal(
     sys: SystemSpec,
     sig: Signal,
@@ -641,8 +665,7 @@ def gain_for_signal(
     energy ratio (none for a zero gain: no input of the signal reaches an output).
     """
     _check_positive_finite("tol", tol)
-    if not 0 < T <= sig.horizon * (1 + 1e-9):
-        raise ValueError(f"horizon T={T} outside the signal horizon {sig.horizon}")
+    _check_horizon(sig, T)
     sig.check_modes(sys)
     value = _bisection(_kernel(sys, T), _reversed_segments(sig, T), tol)
 
@@ -674,22 +697,6 @@ def _step_operators(sys, sig, T, dt):
     return phis, gams, cs, steps
 
 
-def _step_matrix(phis, n):
-    """The lower block-bidiagonal map x -> x_{k+1} - Phi_k x_k, k = 0..steps-1.
-
-    Unknowns are x_1..x_steps (x_0 = 0), so block row k has I on the
-    diagonal and -Phi_k below it (k >= 1); Phi_0 never enters.
-    """
-    steps = len(phis)
-    size = steps * n
-    sub = np.asarray(phis).reshape(steps, n, n)[1:]
-    k, r, c = np.indices(sub.shape)
-    rows = np.concatenate([np.arange(size), ((k + 1) * n + r).ravel()])
-    cols = np.concatenate([np.arange(size), (k * n + c).ravel()])
-    vals = np.concatenate([np.ones(size), -sub.ravel()])
-    return csc_matrix((vals, (rows, cols)), shape=(size, size))
-
-
 # power iterations at most, and the relative change of the ratio that ends them
 _POWER_ITERS, _POWER_RTOL = 80, 1e-10
 
@@ -704,17 +711,19 @@ def gain_power_lower(
 ) -> GainEstimate:
     """Power iteration on L*L for the discrete input-to-output map L.
 
-    Inputs are zero-order-hold samples on the grid of step grid_step (T and
-    grid_step positive and finite); output energy uses the trapezoid rule on
-    the grid.  Any iterate's Rayleigh ratio |Lu|/|u| is a valid lower bound
-    of the discretized gain, so the best ratio seen is returned.
+    Inputs are zero-order-hold samples on the grid of step grid_step (T in
+    (0, sig.horizon], grid_step positive and finite); output energy uses the
+    trapezoid rule on the grid.  Any iterate's Rayleigh ratio |Lu|/|u| is a
+    valid lower bound of the discretized gain, so the best ratio seen is
+    returned.
 
-    The states x_1..x_steps solve one lower block-bidiagonal system (identity
-    blocks on the diagonal, -Phi_k below), factored once with the diagonal as
-    pivots; each iteration is one forward and one transposed triangular solve
-    plus the block-diagonal products with Gamma_k and C_k.
+    The states x_1..x_steps solve one unit lower block-bidiagonal system
+    (flows._step_solver, -Phi_k below the diagonal); each iteration is one
+    forward and one transposed banded triangular solve plus the
+    block-diagonal products with Gamma_k and C_k.
     """
     _check_positive_finite("T", T)
+    _check_horizon(sig, T)
     _check_positive_finite("grid_step", grid_step)
     sig.check_modes(sys)
     phis, gams, cs, steps = _step_operators(sys, sig, T, grid_step)
@@ -724,16 +733,16 @@ def gain_power_lower(
     w[-1:] = grid_step / 2.0
     gam = np.asarray(gams).reshape(steps, n, m)
     out_map = np.asarray(cs[1:]).reshape(steps, p, n)
-    lu = splu(_step_matrix(phis, n), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    solve = _step_solver(phis)
 
     def forward(u):
-        x = lu.solve(np.matmul(gam, u[:, :, None]).reshape(-1))
-        return np.matmul(out_map, x.reshape(steps, n, 1))[:, :, 0]
+        x = solve(np.matmul(gam, u[:, :, None])[:, :, 0])
+        return np.matmul(out_map, x[:, :, None])[:, :, 0]
 
     def adjoint(y):
-        z = np.matmul(out_map.transpose(0, 2, 1), (w * y)[:, :, None])
-        lam = lu.solve(z.reshape(-1), trans="T")
-        return np.matmul(gam.transpose(0, 2, 1), lam.reshape(steps, n, 1))[:, :, 0] / grid_step
+        z = np.matmul(out_map.transpose(0, 2, 1), (w * y)[:, :, None])[:, :, 0]
+        lam = solve(z, "T")
+        return np.matmul(gam.transpose(0, 2, 1), lam[:, :, None])[:, :, 0] / grid_step
 
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((steps, m))

@@ -14,6 +14,8 @@ The flows references keep the per-step span clipping flows used before its
 forward segment cursor (reference_simulate, reference_transition,
 reference_gramians, reference_step_operators, reference_mode_at: every span
 is rebuilt for each step), to check that the cursor returns the same bits.
+Their step exponentials come from flows._expm_stack, one key at a time, and
+reference_simulate runs the step recursion as a Python loop.
 """
 
 import math
@@ -24,7 +26,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from switchgain import Signal, l2gain, spectral, validate_membership
-from switchgain.flows import GramianPair, Trajectory, _gram_block
+from switchgain.flows import GramianPair, Trajectory, _expm_stack, _gram_block
 from switchgain.l2gain import ESCAPE_NORM
 
 
@@ -244,7 +246,9 @@ def _zoh_step(sys, sig, t, dt, cache):
             M = np.zeros((n + m, n + m))
             M[:n, :n] = sys.A(i)
             M[:n, n:] = sys.B(i)
-            E = expm(M * h)
+            # one slice of the library's batched exponential, as a stack of
+            # one: a slice's result does not depend on the rest of its stack
+            E = _expm_stack((M * h)[None])[0]
             cache[key] = (E[:n, :n], E[:n, n:])
         ephi, egam = cache[key]
         phi = ephi @ phi
@@ -306,7 +310,7 @@ def reference_power_lower(sys, sig, T, grid_step, *, iters=80, rtol=1e-10, seed=
 
     The same operator, weights, start vector and stopping rule, with the
     forward map and its adjoint run as explicit recursions over the steps
-    instead of sparse triangular solves.
+    instead of banded triangular solves.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")

@@ -233,8 +233,26 @@ CURSOR_CASES = {
 }
 
 
+# states from one banded solve against the step-by-step recursion: the solve
+# sums each step's terms in another order, so they agree to rounding, not bits
+STATE_RTOL = 1e-13
+
+
+def assert_trajectory_close(new, ref):
+    """Equal times; states and outputs within STATE_RTOL of the largest reference entry."""
+    np.testing.assert_array_equal(new.times, ref.times)
+    for field in ("states", "outputs"):
+        got, want = getattr(new, field), getattr(ref, field)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= STATE_RTOL * np.abs(want).max(initial=0.0)
+
+
 class TestCursorParity:
-    """The forward segment cursor returns the bits of per-step span clipping."""
+    """The forward segment cursor returns the bits of per-step span clipping.
+
+    Step operators, transitions and Gramians match bit for bit; simulated
+    states and outputs within STATE_RTOL.
+    """
 
     @pytest.mark.parametrize("name", CURSOR_CASES)
     def test_simulate(self, name):
@@ -243,9 +261,8 @@ class TestCursorParity:
         steps = 8 * len(sig.segments) + 3
         dt = sig.horizon / steps
         u, x0 = rng.standard_normal((steps, sysm.m)), rng.standard_normal(sysm.n)
-        new, ref = simulate(sysm, sig, u, x0, dt), reference_simulate(sysm, sig, u, x0, dt)
-        for field in ("times", "states", "outputs"):
-            np.testing.assert_array_equal(getattr(new, field), getattr(ref, field))
+        assert_trajectory_close(simulate(sysm, sig, u, x0, dt),
+                                reference_simulate(sysm, sig, u, x0, dt))
 
     @pytest.mark.parametrize("name", CURSOR_CASES)
     def test_transition_and_gramians(self, name):
@@ -301,9 +318,8 @@ def grid_aligned_signal(dt, offset, n_modes=3):
 
 
 def assert_grid_parity(sysm, sig, u, x0, dt):
-    new, ref = simulate(sysm, sig, u, x0, dt), reference_simulate(sysm, sig, u, x0, dt)
-    for field in ("times", "states", "outputs"):
-        np.testing.assert_array_equal(getattr(new, field), getattr(ref, field))
+    assert_trajectory_close(simulate(sysm, sig, u, x0, dt),
+                            reference_simulate(sysm, sig, u, x0, dt))
     for T in (sig.horizon, 10 * dt):
         new, ref = l2gain._step_operators(sysm, sig, T, dt), reference_step_operators(sysm, sig, T, dt)
         assert new[3] == ref[3]
@@ -316,6 +332,9 @@ GRID_OFFSETS = [0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-11, -1e-11]
 
 class TestGridAlignedParity:
     """Segment ends on grid points, or just beside them, keep the bits of per-step clipping.
+
+    The step operators match bit for bit, the simulated states and outputs
+    within STATE_RTOL.
 
     Offsets of 1e-15 and 1e-13 fall inside the interior margin (1e-12), so
     the steps around those ends go through the cursor; at 1e-11 the steps on
@@ -347,44 +366,87 @@ class TestGridAlignedParity:
         assert_grid_parity(sysm, sig, u, rng.standard_normal(3), dt)
 
 
+class TestGridStress:
+    """The banded solve against the step recursion on long and fast-growing grids."""
+
+    def test_2000_segments(self):
+        # 16,000 steps; the operators are those TestCursorParity pins to the bit
+        sysm = rotated_nodes_pair(-1.0, -4.0, 1.5)
+        sig = alternating_nodes_signal(2000, seed=1)
+        steps = 8 * len(sig.segments)
+        dt = sig.horizon / steps
+        rng = np.random.default_rng(14)
+        u, x0 = rng.standard_normal((steps, 1)), rng.standard_normal(2)
+        phis, gams, _ = flows._zoh_grid(sysm, sig, steps, dt)
+        want = np.empty((steps + 1, 2))
+        want[0] = x0
+        for k in range(steps):
+            want[k + 1] = phis[k] @ want[k] + gams[k] @ u[k]
+        got = simulate(sysm, sig, u, x0, dt).states
+        assert np.abs(got - want).max() <= STATE_RTOL * np.abs(want).max()
+
+    def test_growth_beyond_1e8(self):
+        # both modes unstable: the state grows by 8e9 (e^22.8) over 20 segments
+        sysm = make_system([np.array([[1.0, 0.5], [0.0, 0.8]]),
+                            np.array([[0.9, 0.0], [0.3, 1.1]])],
+                           B=[np.array([[1.0], [0.5]]), np.array([[0.0], [1.0]])],
+                           C=[np.array([[1.0, -1.0]]), np.array([[0.5, 1.0]])])
+        rng = np.random.default_rng(15)
+        sig = Signal(tuple((k % 2, float(d)) for k, d in enumerate(rng.uniform(0.9, 1.1, 20))))
+        steps = 8 * len(sig.segments) + 3
+        dt = sig.horizon / steps
+        u, x0 = rng.standard_normal((steps, 1)), rng.standard_normal(2)
+        ref = reference_simulate(sysm, sig, u, x0, dt)
+        assert np.abs(ref.states).max() >= 1e8 * np.abs(x0).max()
+        assert_grid_parity(sysm, sig, u, x0, dt)
+
+
 class TestGridCost:
     """Counted cost of one grid on 200 alternating nodes segments, 8 steps per segment.
 
     Per-step clipping sent all 1,600 steps through the cursor, and built one
     exponential per call; the grid builder clips only the steps near a
     segment end and builds every distinct (mode, rounded span) key in one
-    stacked call.
+    _expm_stack call, with no scipy expm, and simulate runs the recursion as
+    one banded solve.
     """
 
-    @pytest.mark.parametrize("run", [
-        lambda sysm, sig, dt: simulate(sysm, sig, np.ones((int(round(sig.horizon / dt)), 1)),
-                                       np.ones(2), dt),
-        lambda sysm, sig, dt: l2gain._step_operators(sysm, sig, sig.horizon, dt),
+    @pytest.mark.parametrize("run, solves", [
+        (lambda sysm, sig, dt: simulate(sysm, sig, np.ones((int(round(sig.horizon / dt)), 1)),
+                                        np.ones(2), dt), 1),
+        (lambda sysm, sig, dt: l2gain._step_operators(sysm, sig, sig.horizon, dt), 0),
     ], ids=["simulate", "step_operators"])
-    def test_counts(self, run, monkeypatch):
+    def test_counts(self, run, solves, monkeypatch):
         segments = 200
         sysm = rotated_nodes_pair(-1.0, -4.0, 1.5)
         sig = alternating_nodes_signal(segments)
         dt = sig.horizon / (8 * segments)
         keys = {(i, round(hi - lo, 15))
                 for k in range(8 * segments) for lo, hi, i in clip_spans(sig, k * dt, k * dt + dt)}
-        clips, exps = [], []
-        clip, library_expm = flows._Cursor.clip, flows.expm
+        clips, stacks, scipy_exps, bands = [], [], [], []
+        clip, stack, band_solve = flows._Cursor.clip, flows._expm_stack, flows.dtbtrs
 
         def counting_clip(cursor, s, t):
             clips.append(s)
             return clip(cursor, s, t)
 
-        def counting_expm(M):
-            exps.append(len(M) if np.ndim(M) == 3 else 1)
-            return library_expm(M)
+        def counting_stack(M):
+            stacks.append(len(M))
+            return stack(M)
+
+        def counting_solve(*args, **kwargs):
+            bands.append(args)
+            return band_solve(*args, **kwargs)
 
         monkeypatch.setattr(flows._Cursor, "clip", counting_clip)
-        monkeypatch.setattr(flows, "expm", counting_expm)
+        monkeypatch.setattr(flows, "_expm_stack", counting_stack)
+        monkeypatch.setattr(flows, "expm", lambda M: scipy_exps.append(M))
+        monkeypatch.setattr(flows, "dtbtrs", counting_solve)
         run(sysm, sig, dt)
         assert len(clips) <= 2 * segments
-        assert len(exps) <= 1
-        assert sum(exps) <= len(keys)
+        assert len(stacks) == 1 and stacks[0] <= len(keys)
+        assert scipy_exps == []
+        assert len(bands) == solves
 
 
 class _CountingSegments(tuple):

@@ -3,7 +3,9 @@
 names it, before any work is done; so does every count that is not an
 integer at or above its least value, and every duration grid that is empty
 or holds a non-positive or non-finite entry.  Interval ends outside a
-signal's horizon, NaN included, are rejected by the cursor that clips them."""
+signal's horizon, NaN included, are rejected by the cursor that clips them;
+a reversed interval, a horizon T beyond the signal's and an initial state of
+the wrong size are rejected with the names of the arguments."""
 
 import math
 import signal
@@ -118,6 +120,31 @@ def test_rejected_with_its_name(entry, value):
 def test_nan_interval_end_rejected(call):
     with pytest.raises(ValueError, match="outside signal horizon"):
         call()
+
+
+SIG2 = Signal(((0, 1.0), (1, 1.0)))
+
+# name -> (call with a bad argument, start of the error); the comments give
+# what the calls said before they named the argument
+NAMED = {
+    # "interval [1.5, 0.5] outside signal horizon [0, 2.0]", though it lies inside
+    "transition_reversed": (lambda: transition(NODES, SIG2, 1.5, 0.5), "s=1.5 exceeds t=0.5"),
+    "gramians_reversed": (lambda: gramians(NODES, SIG2, 1.5, 0.5), "t0=1.5 exceeds t1=0.5"),
+    # "interval [2.0, 2.1] outside signal horizon [0, 2.0]", an internal grid step
+    "gain_power_lower_T": (lambda: gain_power_lower(NODES, SIG2, 3.0, 0.1),
+                           "horizon T=3.0 outside the signal horizon 2.0"),
+    # numpy's "cannot reshape array of size 3 into shape (2,)"
+    "simulate_x0": (lambda: simulate(NODES, SIG2, np.zeros((20, 1)), np.zeros(3), 0.1),
+                    "x0 must have n = 2 entries, got 3"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAMED))
+def test_argument_named(entry):
+    call, start = NAMED[entry]
+    with deadline(5.0), pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).startswith(start)
 
 
 

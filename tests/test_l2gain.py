@@ -285,6 +285,22 @@ class TestSweepCost:
         # sequential search made 15 single-gamma passes
         assert len(calls) <= 7
 
+    def test_row_table_built_once(self, monkeypatch):
+        # every pass of one bisection fills its (segment, row) table from the
+        # arrays built once with the reversed segments
+        builds = []
+
+        class CountingSegments(l2gain._Segments):
+            def __new__(cls, pairs):
+                builds.append(cls)
+                return super().__new__(cls, pairs)
+
+        monkeypatch.setattr(l2gain, "_Segments", CountingSegments)
+        sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
+        calls = recording(monkeypatch, l2gain, "_riccati_rows")
+        gain_for_signal(sysm, sig, sig.horizon)
+        assert len(calls) >= 3 and len(builds) == 1
+
     def test_substep_budget(self):
         # mu(A) ~ 5000 while A is stable: near gamma = 1e-9 the escape bound
         # allows ~1e-4 per substep, and the scalar test took 17008 substeps;
@@ -635,6 +651,15 @@ def random_switched(seed, n, m, p, n_modes=2):
     return SystemSpec(n, m, p, modes)
 
 
+def non_normal_pair():
+    """Two 3-state modes with off-diagonal couplings 20-40 times their decay rates, m = p = 2."""
+    rng = np.random.default_rng(16)
+    mats = (np.array([[-1.0, 40.0, 0.0], [0.0, -1.5, 40.0], [0.0, 0.0, -2.0]]),
+            np.array([[-2.0, 0.0, 0.0], [30.0, -1.0, 0.0], [0.0, 30.0, -1.5]]))
+    return SystemSpec(3, 2, 2, tuple(Mode(A, rng.standard_normal((3, 2)),
+                                          rng.standard_normal((2, 3))) for A in mats))
+
+
 # switch times 0.37 and 1.13 fall inside steps of every grid used below
 STRADDLE_SIG = Signal(((0, 0.37), (1, 0.76), (0, 0.87)))
 
@@ -654,11 +679,14 @@ POWER_CASES = {
     "nodes_pair": lambda: (rotated_nodes_pair(), NODES_SIG, 3.0, 3.0 / 400),
     "b_zero": lambda: (single_mode(np.diag([-1.0, -2.0]), np.zeros((2, 1)), [[1.0, 1.0]]),
                        Signal(((0, 2.0),)), 2.0, 0.01),
+    # strongly non-normal modes (|A A' - A' A| > 1e3): the adjoint's
+    # transposed solve carries their transient growth backwards
+    "non_normal_n3_m2_p2": lambda: (non_normal_pair(), STRADDLE_SIG, 2.0, 0.01),
 }
 
 
 class TestPowerParity:
-    """The factored power iteration against its original per-step loops."""
+    """The banded-solve power iteration against its original per-step loops."""
 
     @pytest.mark.parametrize("name", sorted(POWER_CASES))
     def test_matches_reference_loops(self, name):
