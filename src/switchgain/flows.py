@@ -12,30 +12,24 @@ Gramian is anchored at the left endpoint t0,
 
 Grid steps.  simulate and l2gain's power iteration need the zero-order-hold
 step operators (Phi_k, Gamma_k) of a whole grid k dt; _zoh_grid builds them
-in one pass.  One searchsorted over Signal.segment_ends finds the interior
-steps, whose two ends lie at least _INTERIOR_MARGIN inside one segment.  The
-other steps, about one per segment end, are clipped by a _Cursor, which
-resumes each query at the segment where the previous one stopped, so they
-cost O(segments + steps) in all.  Each distinct (mode, span) pair of the
-interior steps is composed once, and every (mode, span rounded to 15
-digits) exponential comes from one _expm_stack call.
-
-The operators are the same to the bit as clipping every step with the
-cursor and composing its spans, each exponential built alone (a slice of
-_expm_stack does not depend on the rest of its stack).  For an interior
-step, s = k dt and t = s + dt in floating point, inside segment j (end e_j,
-previous end e_{j-1}, or 0):
-e_{j-1} <= s - margin and e_j >= t + margin.  The cursor skips every
-segment before j, since e_i - s <= 0 there.  It stops at j, since
-e_j - s >= t - s > 1e-14 (rounding is monotone).  It returns
-lo = max(e_{j-1}, s) = s and hi = min(e_j, t) = t, and reads no further
-segment, since e_j >= t.  So the step's only span is (t - s, mode j), the
-one its operator is composed from.  Interior and clipped steps are listed
-in step order, so each exponential is built from the first span of its key
-in step order, as a step-by-step pass with one cache builds it.  The
-cursor's spans are those a fresh pass t += d over the segments gives (the
-signal's cumulative ends, summed in segment order), with the same
-inclusion rule.  Each sample's output mode is a searchsorted over the same
+in one array pass, with the bits of clipping every step with the cursor and
+composing its spans, each exponential built alone (a slice of _expm_stack
+does not depend on the rest of its stack).  Step k is [s, t], s = k dt and
+t = s + dt in floating point.  For segment j (end e_j, the signal's ends
+summed in segment order; e_{-1} = 0) the cursor computes lo = max(e_{j-1}, s)
+and hi = min(e_j, t) and keeps the span when hi - lo > 1e-14.  _zoh_grid
+applies the same max, min, minus and comparison elementwise to the same
+floats, for every segment from the first end above s to the first end at or
+above t, or to the last (two searchsorteds).  Each other segment gives
+hi - lo <= 0: one with e_j <= s has hi <= s <= lo, one with e_{j-1} >= t
+has lo >= t >= hi.  The cursor's skip test, e_j - s <= 1e-14, drops only spans the comparison
+drops too, since hi - lo <= e_j - s (rounding is monotone).  So each step's
+spans, in time order, are the cursor's.  A span's key is its mode and its
+length rounded to 15 digits by Python's round; each key's exponential is
+built from its first span in step order, as a step-by-step pass with one
+cache builds it, and all keys come from one _expm_stack call.  Span position
+c is composed, one stacked matmul, on the steps that have more than c spans.
+The mode at each sample min(k dt, horizon) is a searchsorted over the same
 ends, as Signal.mode_at bisects them.
 
 The states are not stepped one by one.  The recursion x_{k+1} = Phi_k x_k +
@@ -50,7 +44,7 @@ squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005) on a (K, N, N) stack
 in one pass of numpy calls.  Its cost is mostly per call, so it pays for
 stacks of more than a few matrices; l2gain's Riccati row pass builds every
 whole-segment exponential of a backward pass with it, spectral each of its
-letter grids, and _zoh_operators every step exponential of a grid.  Each
+letter grids, and _zoh_grid every step exponential of a grid.  Each
 slice is the exact exponential of a matrix within a relative backward error
 of about unit roundoff of the one given.
 """
@@ -252,92 +246,52 @@ def gramians(sys: SystemSpec, sig: Signal, t0: float, t1: float) -> GramianPair:
     return GramianPair(wc=wc, wo=wo, horizon=t1 - t0)
 
 
-# a step at least this far inside one segment is classified as interior; the
-# bit-identity argument holds for any margin >= 0, and a positive one sends the
-# steps that end within it of a segment end to the cursor
-_INTERIOR_MARGIN = 1e-12
-
-
-def _zoh_operators(sys, step_spans):
-    """Exact ZOH propagators (Phi, Gamma), one per list of consecutive spans (h, mode).
-
-    The exponential of each (mode, h rounded to 15 digits) key is built once,
-    from the first h in list order that meets the key; all of them come from
-    one _expm_stack call.  Each list is composed span after span, one stacked
-    matmul per span position over all lists; a list of no span gives (I, 0).
-    """
-    n, m = sys.n, sys.m
-    slot = {}               # key -> its slice of the stack
-    modes, hs, rows = [], [], []
-    for spans in step_spans:
-        row = []
-        for h, i in spans:
-            key = (i, round(h, 15))
-            if key not in slot:
-                slot[key] = len(hs)
-                modes.append(i)
-                hs.append(h)
-            row.append(slot[key])
-        rows.append(row)
-    AB = np.stack([np.hstack([mode.A, mode.B]) for mode in sys.modes])
-    M = np.zeros((len(hs), n + m, n + m))
-    M[:, :n] = AB[modes] * np.array(hs)[:, None, None]
-    E = _expm_stack(M)
-    # one more slice, (I, 0), pads each list to the longest: I Phi = Phi and
-    # I Gamma + 0 = Gamma exactly, so a list's bits do not depend on it
-    ephi = np.concatenate([E[:, :n, :n], np.eye(n)[None]])
-    egam = np.concatenate([E[:, :n, n:], np.zeros((1, n, m))])
-    slices = np.full((len(rows), max([1, *map(len, rows)])), len(hs))
-    for k, row in enumerate(rows):
-        slices[k, :len(row)] = row
-    phis, gams = ephi[slices[:, 0]], egam[slices[:, 0]]
-    for col in slices.T[1:]:
-        step = ephi[col]
-        phis, gams = step @ phis, step @ gams + egam[col]
-    return phis, gams
-
-
 def _zoh_grid(sys, sig, steps, dt):
-    """Step operators of the grid k dt, k < steps, and the mode at each step's start.
+    """Step operators of the grid k dt, k < steps, and the mode at each sample.
 
     Returns (Phi, Gamma, modes): Phi[k], Gamma[k] propagate a ZOH input over
-    [k dt, k dt + dt], and modes[k] is sig.mode_at(k dt).  An interior step
-    takes the operator of its (mode, span) pair, composed once; the other
-    steps are clipped by the cursor.  Both kinds are listed in step order
-    (module docstring, "Grid steps").
+    [k dt, k dt + dt], and modes[k] is sig.mode_at(min(k dt, horizon)) for
+    k <= steps.  Each step's spans are clipped elementwise, as the cursor
+    clips them (module docstring, "Grid steps").
     """
+    n, m = sys.n, sys.m
     ends = np.asarray(sig.segment_ends)
     seg_modes = np.array([i for i, _ in sig.segments])
     last = len(ends) - 1
     starts = np.arange(steps) * dt
     stops = starts + dt
-    spans = stops - starts
-    seg = np.searchsorted(ends, starts - _INTERIOR_MARGIN, side="right")
-    interior = ((seg <= last) & (ends[np.minimum(seg, last)] >= stops + _INTERIOR_MARGIN)
-                & (spans > 1e-14))
-    inside = np.flatnonzero(interior)
-    pairs, first, pair_of = np.unique(np.stack([seg_modes[seg[inside]], spans[inside]], axis=1),
-                                      axis=0, return_index=True, return_inverse=True)
-    # (step, pair index) in step order; -1 marks a step for the cursor
-    events = sorted([(k, -1) for k in np.flatnonzero(~interior).tolist()]
-                    + [(k, g) for g, k in enumerate(inside[first].tolist())])
-    cursor = _Cursor(sig)
-    step_spans = []
-    row = np.empty(steps, dtype=int)             # each step's entry in step_spans
-    pair_row = np.empty(len(pairs), dtype=int)
-    for e, (k, g) in enumerate(events):
-        if g < 0:
-            s = k * dt
-            step_spans.append([(hi - lo, i) for lo, hi, i in cursor.clip(s, s + dt)])
-            row[k] = e
-        else:
-            mode, h = pairs[g].tolist()
-            step_spans.append([(h, int(mode))])
-            pair_row[g] = e
-    row[inside] = pair_row[pair_of]
-    phis, gams = _zoh_operators(sys, step_spans)
-    at = np.searchsorted(ends, starts, side="right")
-    return phis[row], gams[row], seg_modes[np.minimum(at, last)]
+    # step k's spans lie in segments first[k] .. the first one ending at or after stops[k]
+    first = np.searchsorted(ends, starts, side="right")
+    count = np.minimum(np.searchsorted(ends, stops), last) + 1 - first
+    # one entry per candidate span: its step, and first[step] plus its place in the step
+    step = np.repeat(np.arange(steps), count)
+    seg = np.arange(len(step)) + np.repeat(first - np.cumsum(count) + count, count)
+    lo = np.maximum(np.concatenate([[0.0], ends[:-1]])[seg], starts[step])
+    h = np.minimum(ends[seg], stops[step]) - lo
+    keep = h > 1e-14
+    step, mode, h = step[keep], seg_modes[seg[keep]], h[keep]
+    # key (mode, h rounded to 15 digits), as an integer; Python's round once per distinct h
+    distinct, h_at = np.unique(h, return_inverse=True)
+    _, rounded = np.unique([round(x, 15) for x in distinct.tolist()], return_inverse=True)
+    _, first_span, slot = np.unique(mode * len(distinct) + rounded[h_at],
+                                    return_index=True, return_inverse=True)
+    AB = np.stack([np.hstack([md.A, md.B]) for md in sys.modes])
+    M = np.zeros((len(first_span), n + m, n + m))
+    M[:, :n] = AB[mode[first_span]] * h[first_span, None, None]
+    E = _expm_stack(M)
+    ephi, egam = E[:, :n, :n], E[:, :n, n:]
+    # compose span position c on the steps that have more than c spans
+    spans = np.bincount(step, minlength=steps)
+    offset = np.cumsum(spans) - spans
+    phis = np.tile(np.eye(n), (steps, 1, 1))
+    gams = np.zeros((steps, n, m))
+    for c in range(spans.max(initial=0)):
+        k = np.flatnonzero(spans > c)
+        j = slot[offset[k] + c]
+        phis[k] = ephi[j] @ phis[k]
+        gams[k] = ephi[j] @ gams[k] + egam[j]
+    times = np.minimum(np.arange(steps + 1) * dt, sig.horizon)
+    return phis, gams, seg_modes[np.minimum(np.searchsorted(ends, times, side="right"), last)]
 
 
 def _step_solver(phis):
@@ -392,7 +346,6 @@ def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
 
     phis, gams, modes = _zoh_grid(sys, sig, steps, dt)
     times = np.minimum(np.arange(steps + 1) * dt, horizon)
-    modes = np.append(modes, sig.mode_at(times[-1]))
     # a stacked matmul computes each slice with the product one step would
     # make, and broadcasting keeps each C in its own memory layout
     rhs = np.matmul(gams, u[:, :, None])[:, :, 0]

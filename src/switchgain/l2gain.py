@@ -692,7 +692,6 @@ def _step_operators(sys, sig, T, dt):
     if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("grid step does not divide the horizon")
     phis, gams, modes = _zoh_grid(sys, sig, steps, dt)
-    modes = np.append(modes, sig.mode_at(min(steps * dt, sig.horizon - 1e-12)))
     cs = np.stack([m.C for m in sys.modes])[modes]
     return phis, gams, cs, steps
 
@@ -715,7 +714,9 @@ def gain_power_lower(
     (0, sig.horizon], grid_step positive and finite); output energy uses the
     trapezoid rule on the grid.  Any iterate's Rayleigh ratio |Lu|/|u| is a
     valid lower bound of the discretized gain, so the best ratio seen is
-    returned.
+    returned.  The iteration stops once the ratio changes by at most
+    _POWER_RTOL relative, the returned tolerance; when _POWER_ITERS
+    iterations end it first, the tolerance is the ratio's last relative change.
 
     The states x_1..x_steps solve one unit lower block-bidiagonal system
     (flows._step_solver, -Phi_k below the diagonal); each iteration is one
@@ -755,6 +756,7 @@ def gain_power_lower(
     best = 0.0
     prev = None
     best_u = u.copy()
+    tolerance = _POWER_RTOL
     for _ in range(_POWER_ITERS):
         y = forward(u)
         num = math.sqrt(float(np.sum(w * y * y)))
@@ -765,13 +767,17 @@ def gain_power_lower(
             best_u = u.copy()
         if prev is not None and abs(ratio - prev) <= _POWER_RTOL * max(ratio, 1e-30):
             break
+        change = math.inf if prev is None else abs(ratio - prev) / max(ratio, 1e-30)
         prev = ratio
         nxt = adjoint(y)
         norm = math.sqrt(grid_step * float(np.sum(nxt * nxt)))
         if norm == 0:
             break
         u = nxt / norm
-    return GainEstimate(best, T, "power_iteration", _POWER_RTOL, witness_signal=sig,
+    else:
+        # the cap, not the stopping rule, ended the iteration
+        tolerance = change
+    return GainEstimate(best, T, "power_iteration", tolerance, witness_signal=sig,
                         witness_input_energy_ratio=best, witness_input=best_u,
                         input_dt=grid_step)
 

@@ -13,7 +13,8 @@ original gain search, which evaluates one candidate at a time.
 The flows references keep the per-step span clipping flows used before its
 forward segment cursor (reference_simulate, reference_transition,
 reference_gramians, reference_step_operators, reference_mode_at: every span
-is rebuilt for each step), to check that the cursor returns the same bits.
+is rebuilt for each step), to check that the cursor and _zoh_grid's
+elementwise clipping return the same bits.
 Their step exponentials come from flows._expm_stack, one key at a time, and
 reference_simulate runs the step recursion as a Python loop.
 """
@@ -241,7 +242,8 @@ def _zoh_step(sys, sig, t, dt, cache):
     gam = np.zeros((n, m))
     for lo, hi, i in clip_spans(sig, t, t + dt):
         h = hi - lo
-        key = (i, round(h, 15))
+        # Python's round, also for a numpy span: np.float64 rounds by another rule
+        key = (i, round(float(h), 15))
         if key not in cache:
             M = np.zeros((n + m, n + m))
             M[:n, :n] = sys.A(i)
@@ -301,7 +303,7 @@ def reference_step_operators(sys, sig, T, dt):
         phis.append(phi)
         gams.append(gam)
         cs.append(sys.C(reference_mode_at(sig, k * dt)))
-    cs.append(sys.C(reference_mode_at(sig, min(steps * dt, sig.horizon - 1e-12))))
+    cs.append(sys.C(reference_mode_at(sig, min(steps * dt, sig.horizon))))
     return phis, gams, cs, steps
 
 

@@ -4,6 +4,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from switchgain import Mode, Signal, SystemSpec, flows, gramians, l2gain, simulate, transition, trajectory_to_csv
@@ -295,25 +297,30 @@ class TestCursorParity:
             assert cursor.clip(s, t) == clip_spans(sig, s, t)
 
 
-def grid_aligned_signal(dt, offset, n_modes=3):
-    """A signal whose segment ends lie at offset from grid points k dt.
+def signal_ending_at(modes, targets):
+    """A signal whose segment ends, summed as Signal.segment_ends sums them, are near targets.
 
-    Each duration is nudged by ulps until the running sum, formed as
-    Signal.segment_ends forms it, lands on the float nearest k dt + offset.
+    Each duration is nudged by ulps until the running sum lands on its
+    target, an increasing float, or on the float below it when no sum does.
     """
-    grid_ends = np.cumsum([3, 5, 1, 7, 4, 2, 6])
     segments, end = [], 0.0
-    for j, k in enumerate(grid_ends):
-        target = k * dt + offset
+    for mode, target in zip(modes, targets):
         d = target - end
         while end + d < target:
             d = np.nextafter(d, math.inf)
         while end + d > target:
             d = np.nextafter(d, -math.inf)
-        segments.append((j % n_modes, float(d)))
+        segments.append((mode, float(d)))
         end += d
-    sig = Signal(tuple(segments))
-    assert sig.segment_ends == tuple(k * dt + offset for k in grid_ends)
+    return Signal(tuple(segments))
+
+
+def grid_aligned_signal(dt, offset, n_modes=3):
+    """A signal whose segment ends lie at offset from grid points k dt."""
+    grid_ends = np.cumsum([3, 5, 1, 7, 4, 2, 6])
+    targets = tuple(k * dt + offset for k in grid_ends)
+    sig = signal_ending_at([j % n_modes for j in range(len(grid_ends))], targets)
+    assert sig.segment_ends == targets
     return sig, int(grid_ends[-1])
 
 
@@ -334,11 +341,8 @@ class TestGridAlignedParity:
     """Segment ends on grid points, or just beside them, keep the bits of per-step clipping.
 
     The step operators match bit for bit, the simulated states and outputs
-    within STATE_RTOL.
-
-    Offsets of 1e-15 and 1e-13 fall inside the interior margin (1e-12), so
-    the steps around those ends go through the cursor; at 1e-11 the steps on
-    either side are interior and each one's span is the whole step.
+    within STATE_RTOL.  Within 1e-14 of a grid point, an end leaves its
+    neighbouring step a span the 1e-14 rule drops.
     """
 
     @pytest.mark.parametrize("offset", GRID_OFFSETS)
@@ -401,12 +405,60 @@ class TestGridStress:
         assert_grid_parity(sysm, sig, u, x0, dt)
 
 
+@st.composite
+def grid_cases(draw):
+    """(system, signal, T, dt) of the four grid shapes TestStepOperatorProperty covers."""
+    kind = draw(st.sampled_from(["dense", "tiny", "near_grid", "single"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "dense":
+        # segments far shorter than a step: each step spans hundreds of them
+        count = draw(st.integers(200, 600))
+        sig = Signal(tuple((int(i), float(d)) for i, d in zip(
+            rng.integers(0, 3, count), rng.uniform(1e-4, 1e-3, count))))
+    elif kind == "tiny":
+        # segments of 1e-15 to 1e-13 among ordinary ones, the last one included
+        count = draw(st.integers(2, 30))
+        tiny = np.append(rng.random(count - 1) < 0.5, True)
+        durations = np.where(tiny, 10.0 ** rng.uniform(-15, -13, count), rng.uniform(0.01, 0.3, count))
+        sig = Signal(tuple((int(i), float(d)) for i, d in zip(rng.integers(0, 3, count), durations)))
+    elif kind == "near_grid":
+        # every end within 1e-14 or 1e-13 of a grid point k dt, or on it (to an ulp)
+        dt = draw(st.sampled_from([0.037, 0.1, 0.3]))
+        grid_ends = np.cumsum(rng.integers(1, 5, draw(st.integers(1, 12))))
+        offsets = rng.choice([0.0, 1e-14, -1e-14, 1e-13, -1e-13], len(grid_ends))
+        sig = signal_ending_at(rng.integers(0, 3, len(grid_ends)).tolist(),
+                               [float(k * dt + o) for k, o in zip(grid_ends, offsets)])
+        T = sig.horizon if draw(st.booleans()) else draw(st.integers(1, int(grid_ends[-1]))) * dt
+        return random_switched(rng, n=draw(st.integers(1, 3)), k=3), sig, T, dt
+    else:
+        sig = Signal(((0, draw(st.floats(0.01, 5.0))),))
+    steps = draw(st.integers(1, 3) if kind == "dense" else st.integers(1, 40))
+    T = sig.horizon if draw(st.booleans()) else sig.horizon * draw(st.floats(0.3, 0.95))
+    # a numpy grid step keys its spans by Python's round all the same
+    dt = draw(st.sampled_from([float, np.float64]))(T / steps)
+    return random_switched(rng, n=draw(st.integers(1, 3)), k=3), sig, T, dt
+
+
+class TestStepOperatorProperty:
+    """The grid's step operators and output maps equal per-step clipping's, bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(grid_cases())
+    def test_matches_per_step_clipping(self, case):
+        sysm, sig, T, dt = case
+        new, ref = l2gain._step_operators(sysm, sig, T, dt), reference_step_operators(sysm, sig, T, dt)
+        assert new[3] == ref[3]
+        for a, b in zip(new[:3], ref[:3]):
+            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+
+
 class TestGridCost:
     """Counted cost of one grid on 200 alternating nodes segments, 8 steps per segment.
 
     Per-step clipping sent all 1,600 steps through the cursor, and built one
-    exponential per call; the grid builder clips only the steps near a
-    segment end and builds every distinct (mode, rounded span) key in one
+    exponential per call; _zoh_grid clips every step elementwise,
+    with no cursor, builds every distinct (mode, rounded span) key in one
     _expm_stack call, with no scipy expm, and simulate runs the recursion as
     one banded solve.
     """
@@ -443,7 +495,7 @@ class TestGridCost:
         monkeypatch.setattr(flows, "expm", lambda M: scipy_exps.append(M))
         monkeypatch.setattr(flows, "dtbtrs", counting_solve)
         run(sysm, sig, dt)
-        assert len(clips) <= 2 * segments
+        assert clips == []
         assert len(stacks) == 1 and stacks[0] <= len(keys)
         assert scipy_exps == []
         assert len(bands) == solves

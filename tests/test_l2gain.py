@@ -629,6 +629,26 @@ class TestPowerLower:
         assert est.witness_input is not None
         assert est.witness_input_energy_ratio == pytest.approx(est.value)
 
+    def test_iteration_cap_reports_last_change(self, monkeypatch):
+        # 200 nodes segments at 1,600 steps: 80 iterations end before the
+        # ratio settles to 1e-10, and the tolerance said 1e-10 all the same
+        sysm = rotated_nodes_pair(-1.0, -4.0, 1.5)
+        sig = alternating_nodes_signal(200)
+        H = sig.horizon
+        est = gain_power_lower(sysm, sig, H, H / 1600)
+        ref = reference_power_lower(sysm, sig, H, H / 1600)
+        assert est.value == pytest.approx(ref.value, rel=1e-12)
+        assert est.tolerance > 1e-6
+        # the ratios rise, so the value is the last ratio and that of one
+        # iteration fewer the one before it
+        monkeypatch.setattr(l2gain, "_POWER_ITERS", l2gain._POWER_ITERS - 1)
+        before = gain_power_lower(sysm, sig, H, H / 1600).value
+        assert est.tolerance == (est.value - before) / est.value
+
+    def test_step_not_dividing_horizon_rejected(self):
+        with pytest.raises(ValueError, match="grid step does not divide the horizon"):
+            gain_power_lower(rotated_nodes_pair(), Signal(((0, 0.3), (1, 0.2))), 0.5, 0.3)
+
     # unchecked, T = 0 and grid_step = inf returned 0.0, and the others died
     # inside numpy or on a NaN-to-integer conversion
     @pytest.mark.parametrize("T, grid_step, name", [
