@@ -10,27 +10,28 @@ Gramian is anchored at the left endpoint t0,
     wc = int_{t0}^{t1} Phi(t0, s) B(s) B(s)^T Phi(t0, s)^T ds,
     wo = int_{t0}^{t1} Phi(s, t0)^T C(s)^T C(s) Phi(s, t0) ds.
 
+Spans.  Every propagation cuts its interval [s, t] into constant-mode spans,
+and _spans cuts a whole array of intervals in one pass.  For segment j (end
+e_j, the signal's ends summed in segment order; e_{-1} = 0) the span is
+lo = max(e_{j-1}, s) to hi = min(e_j, t), kept when hi - lo > 1e-14.  _spans
+evaluates this elementwise on the same floats for the segments from the first
+end above s to the first end at or above t, or to the last (two
+searchsorteds; none when s is past t); every other segment gives hi - lo <= 0
+(e_j <= s: hi <= s <= lo; e_{j-1} >= t: lo >= t >= hi).  So its spans, in
+time order, are those of clipping [s, t] against every segment in turn.
+transition and gramians (one interval, a scipy expm per span), l2gain's
+Riccati passes ([0, T], backwards) and _zoh_grid (every grid step) read them.
+
 Grid steps.  simulate and l2gain's power iteration need the zero-order-hold
-step operators (Phi_k, Gamma_k) of a whole grid k dt; _zoh_grid builds them
-in one array pass, with the bits of clipping every step with the cursor and
-composing its spans, each exponential built alone (a slice of _expm_stack
-does not depend on the rest of its stack).  Step k is [s, t], s = k dt and
-t = s + dt in floating point.  For segment j (end e_j, the signal's ends
-summed in segment order; e_{-1} = 0) the cursor computes lo = max(e_{j-1}, s)
-and hi = min(e_j, t) and keeps the span when hi - lo > 1e-14.  _zoh_grid
-applies the same max, min, minus and comparison elementwise to the same
-floats, for every segment from the first end above s to the first end at or
-above t, or to the last (two searchsorteds).  Each other segment gives
-hi - lo <= 0: one with e_j <= s has hi <= s <= lo, one with e_{j-1} >= t
-has lo >= t >= hi.  The cursor's skip test, e_j - s <= 1e-14, drops only spans the comparison
-drops too, since hi - lo <= e_j - s (rounding is monotone).  So each step's
-spans, in time order, are the cursor's.  A span's key is its mode and its
-length rounded to 15 digits by Python's round; each key's exponential is
-built from its first span in step order, as a step-by-step pass with one
-cache builds it, and all keys come from one _expm_stack call.  Span position
-c is composed, one stacked matmul, on the steps that have more than c spans.
-The mode at each sample min(k dt, horizon) is a searchsorted over the same
-ends, as Signal.mode_at bisects them.
+step operators (Phi_k, Gamma_k) of the steps [k dt, k dt + dt]; _zoh_grid
+builds them with the bits of composing each step's spans alone.  A span's key
+is its mode and its length rounded to 15 digits by Python's round; each key's
+exponential is built from its first span in step order, as a step-by-step
+pass with one cache builds it (a slice of _expm_stack does not depend on the
+rest of its stack), all in one _expm_stack call, and span position c is
+composed, one stacked matmul, on the steps with more than c spans.  The mode
+at each sample min(k dt, horizon) is a searchsorted over the same ends, as
+Signal.mode_at bisects them.
 
 The states are not stepped one by one.  The recursion x_{k+1} = Phi_k x_k +
 Gamma_k u_k is a unit lower block-bidiagonal system with a band of 2n - 1
@@ -89,46 +90,6 @@ class GramianPair:
     horizon: float
 
 
-class _Cursor:
-    """One forward pass over a signal's segments.
-
-    clip resumes at the segment where the previous call stopped, so a
-    sequence of intervals moving forward in time reads every segment a
-    bounded number of times.  An interval starting earlier than the previous
-    one restarts at the first segment, so any order gives the same answers.
-    """
-
-    def __init__(self, sig: Signal):
-        self.segments = sig.segments
-        self.ends = sig.segment_ends
-        self.horizon = self.ends[-1]
-        self.first = 0               # no segment before it meets [s, t] with s >= self.s
-        self.s = -math.inf
-
-    def clip(self, s, t):
-        """Sub-intervals of [s, t] longer than 1e-14 with their active modes, in time order."""
-        horizon = self.horizon
-        tol = 1e-9 * max(1.0, horizon)
-        if not (-tol <= s <= t + tol and t <= horizon + tol):
-            raise ValueError(f"interval [{s}, {t}] outside signal horizon [0, {horizon}]")
-        ends = self.ends
-        k = self.first if s >= self.s else 0
-        # a segment ending within 1e-14 of s gives no span for this s or any later one
-        while k < len(ends) and ends[k] - s <= 1e-14:
-            k += 1
-        self.first, self.s = k, s
-        out = []
-        a = ends[k - 1] if k else 0.0
-        while k < len(ends) and a < t:
-            b = ends[k]
-            lo, hi = max(a, s), min(b, t)
-            if hi - lo > 1e-14:
-                out.append((lo, hi, self.segments[k][0]))
-            a = b
-            k += 1
-        return out
-
-
 # Pade [13/13] numerator coefficients of exp (Higham 2005), divided by the
 # first so that the approximant of the zero matrix is solved as I \ I, and
 # the norm bound theta_13 up to which it is accurate to unit roundoff
@@ -181,22 +142,46 @@ def _expm_stack(M):
     return R
 
 
-def _check_forward(sig, names, s, t):
-    """Reject an interval [s, t] that runs backwards, naming its two ends.
-
-    Within the cursor's tolerance of 1e-9 max(1, horizon) it is taken as empty.
+def _check_interval(sig, names, s, t):
+    """Reject [s, t] if it runs backwards (naming its ends) or leaves the horizon
+    [0, H], NaN ends included; within 1e-9 max(1, H) it is taken as in range.
     """
-    if s > t + 1e-9 * max(1.0, sig.horizon):
+    horizon = sig.horizon
+    tol = 1e-9 * max(1.0, horizon)
+    if s > t + tol:
         raise ValueError(f"{names[0]}={s} exceeds {names[1]}={t}: the interval runs backwards")
+    if not (-tol <= s and t <= horizon + tol):
+        raise ValueError(f"interval [{s}, {t}] outside signal horizon [0, {horizon}]")
+
+
+def _spans(sig, starts, stops):
+    """(index, lo, hi, mode) arrays of the spans of the intervals [starts[k], stops[k]]:
+    span [lo, hi] of interval index, in mode, by interval and then in time
+    order (module docstring, "Spans")."""
+    edges = np.concatenate(([0.0], sig.segment_ends))
+    ends = edges[1:]
+    starts, stops = np.asarray(starts, dtype=float), np.asarray(stops, dtype=float)
+    # interval k's candidates: segment first[k] up to the first one ending at or
+    # after stops[k], or up to the last
+    first = np.searchsorted(ends, starts, side="right")
+    count = np.maximum(np.searchsorted(ends[:-1], stops) + 1 - first, 0)
+    # one entry per candidate span: its interval, and first[interval] plus its place in it
+    index = np.repeat(np.arange(len(starts)), count)
+    seg = np.arange(len(index)) + (first + count - count.cumsum())[index]
+    lo = np.maximum(edges[seg], starts[index])
+    hi = np.minimum(ends[seg], stops[index])
+    keep = hi - lo > 1e-14
+    return index[keep], lo[keep], hi[keep], np.array([i for i, _ in sig.segments])[seg[keep]]
 
 
 def transition(sys: SystemSpec, sig: Signal, s: float, t: float) -> np.ndarray:
     """Flow Phi(t, s) of xdot = A(sigma(t)) x along the signal, s <= t."""
     sig.check_modes(sys)
-    _check_forward(sig, ("s", "t"), s, t)
+    _check_interval(sig, ("s", "t"), s, t)
+    _, lo, hi, modes = _spans(sig, [s], [t])
     phi = np.eye(sys.n)
-    for lo, hi, i in _Cursor(sig).clip(s, t):
-        phi = expm(sys.A(i) * (hi - lo)) @ phi
+    for dt, i in zip((hi - lo).tolist(), modes.tolist()):
+        phi = expm(sys.A(i) * dt) @ phi
     return phi
 
 
@@ -227,15 +212,15 @@ def _gram_block(A, G, dt):
 def gramians(sys: SystemSpec, sig: Signal, t0: float, t1: float) -> GramianPair:
     """Windowed Gramians on [t0, t1], t0 <= t1, accumulated exactly across segments."""
     sig.check_modes(sys)
-    _check_forward(sig, ("t0", "t1"), t0, t1)
+    _check_interval(sig, ("t0", "t1"), t0, t1)
+    _, lo, hi, modes = _spans(sig, [t0], [t1])
     n = sys.n
     wc = np.zeros((n, n))
     wo = np.zeros((n, n))
     back = np.eye(n)     # Phi(t0, current segment start)
     fwd = np.eye(n)      # Phi(current segment start, t0)
-    for lo, hi, i in _Cursor(sig).clip(t0, t1):
+    for dt, i in zip((hi - lo).tolist(), modes.tolist()):
         A, B, C = sys.A(i), sys.B(i), sys.C(i)
-        dt = hi - lo
         wc += back @ _gram_block(-A, B @ B.T, dt) @ back.T
         wo += fwd.T @ _gram_block(A.T, C.T @ C, dt) @ fwd
         step = expm(A * dt)
@@ -251,25 +236,13 @@ def _zoh_grid(sys, sig, steps, dt):
 
     Returns (Phi, Gamma, modes): Phi[k], Gamma[k] propagate a ZOH input over
     [k dt, k dt + dt], and modes[k] is sig.mode_at(min(k dt, horizon)) for
-    k <= steps.  Each step's spans are clipped elementwise, as the cursor
-    clips them (module docstring, "Grid steps").
+    k <= steps.  Each step's spans come from _spans (module docstring,
+    "Spans" and "Grid steps").
     """
     n, m = sys.n, sys.m
-    ends = np.asarray(sig.segment_ends)
-    seg_modes = np.array([i for i, _ in sig.segments])
-    last = len(ends) - 1
     starts = np.arange(steps) * dt
-    stops = starts + dt
-    # step k's spans lie in segments first[k] .. the first one ending at or after stops[k]
-    first = np.searchsorted(ends, starts, side="right")
-    count = np.minimum(np.searchsorted(ends, stops), last) + 1 - first
-    # one entry per candidate span: its step, and first[step] plus its place in the step
-    step = np.repeat(np.arange(steps), count)
-    seg = np.arange(len(step)) + np.repeat(first - np.cumsum(count) + count, count)
-    lo = np.maximum(np.concatenate([[0.0], ends[:-1]])[seg], starts[step])
-    h = np.minimum(ends[seg], stops[step]) - lo
-    keep = h > 1e-14
-    step, mode, h = step[keep], seg_modes[seg[keep]], h[keep]
+    step, lo, hi, mode = _spans(sig, starts, starts + dt)
+    h = hi - lo
     # key (mode, h rounded to 15 digits), as an integer; Python's round once per distinct h
     distinct, h_at = np.unique(h, return_inverse=True)
     _, rounded = np.unique([round(x, 15) for x in distinct.tolist()], return_inverse=True)
@@ -291,7 +264,8 @@ def _zoh_grid(sys, sig, steps, dt):
         phis[k] = ephi[j] @ phis[k]
         gams[k] = ephi[j] @ gams[k] + egam[j]
     times = np.minimum(np.arange(steps + 1) * dt, sig.horizon)
-    return phis, gams, seg_modes[np.minimum(np.searchsorted(ends, times, side="right"), last)]
+    at = np.minimum(np.searchsorted(sig.segment_ends, times, side="right"), len(sig.segments) - 1)
+    return phis, gams, np.array([i for i, _ in sig.segments])[at]
 
 
 def _step_solver(phis):
@@ -324,9 +298,9 @@ def simulate(sys: SystemSpec, sig: Signal, u, x0, dt: float) -> Trajectory:
     horizon, and x0 has n entries.  Propagation is exact per step
     (homogeneous exponential plus the integrated input term), including steps
     that straddle a switch.  The step operators come from _zoh_grid, with the
-    bits of clipping every step with the cursor; the states x_1..x_K solve the
-    step recursion, with Phi_0 x0 added to its first input term, in one
-    banded triangular solve, within rounding of the step-by-step recursion.
+    bits of composing every step alone; the states x_1..x_K solve the step
+    recursion, with Phi_0 x0 added to its first input term, in one banded
+    triangular solve, within rounding of the step-by-step recursion.
     """
     sig.check_modes(sys)
     u = np.atleast_2d(np.asarray(u, dtype=float))

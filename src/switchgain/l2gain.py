@@ -89,7 +89,7 @@ from scipy.linalg import expm
 
 from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_durations,
                    _check_positive_finite, validate_membership)
-from .flows import _Cursor, _expm_stack, _gram_block, _step_solver, _zoh_grid
+from .flows import _expm_stack, _gram_block, _spans, _step_solver, _zoh_grid
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
 from .spectral import RhoEstimate, certification_grid, class_tau, rho_lower, rho_upper
 
@@ -175,9 +175,10 @@ class _Segments(tuple):
 
 
 def _reversed_segments(sig, T):
-    """Segments of the signal on [0, T], listed backwards from T."""
-    spans = _Cursor(sig).clip(0.0, T)
-    return _Segments((hi - lo, i) for lo, hi, i in reversed(spans))
+    """Segments of the signal on [0, T], listed backwards from T; T <= sig.horizon,
+    as the callers check it (_check_horizon) or build the signal on [0, T]."""
+    _, lo, hi, modes = _spans(sig, [0.0], [T])
+    return _Segments(zip((hi - lo)[::-1].tolist(), modes[::-1].tolist()))
 
 
 def _escape_time(a, b, c):

@@ -877,7 +877,7 @@ def quasi_extremal_trajectory(
     signal = Signal(tuple(segs)).merged()
     times = np.array(times)
     states = np.array(states)
-    outputs = np.array([sys.C(signal.mode_at(min(tt, signal.horizon - 1e-12))) @ xx
+    outputs = np.array([sys.C(signal.mode_at(min(tt, signal.horizon))) @ xx
                         for tt, xx in zip(times, states)])
     ratios = np.linalg.norm(states, axis=1) / (mu_hat ** times * np.linalg.norm(x0))
     traj = Trajectory(times=times, states=states, outputs=outputs)

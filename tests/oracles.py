@@ -10,11 +10,12 @@ the polytope certifier's original domination loop, which decides
 every product against every stored Gram matrix with eigvalsh, and the
 original gain search, which evaluates one candidate at a time.
 
-The flows references keep the per-step span clipping flows used before its
-forward segment cursor (reference_simulate, reference_transition,
+The flows references keep the per-interval span clipping flows used before
+its array span rule (clip_spans, reference_simulate, reference_transition,
 reference_gramians, reference_step_operators, reference_mode_at: every span
-is rebuilt for each step), to check that the cursor and _zoh_grid's
-elementwise clipping return the same bits.
+is rebuilt for each interval or step against every segment), to check that
+flows._spans, and the transitions, Gramians and grids built on it, return
+the same bits.
 Their step exponentials come from flows._expm_stack, one key at a time, and
 reference_simulate runs the step recursion as a Python loop.
 """

@@ -106,7 +106,7 @@ class TestSignal:
             assert sig.mode_at(t) == reference_mode_at(sig, t), t
 
     def test_horizon_is_the_last_segment_end(self):
-        # the left-to-right sum of the durations, as the cursor and the
+        # the left-to-right sum of the durations, as flows._spans and the
         # simulation grid read it, to the bit
         rng = np.random.default_rng(3)
         for _ in range(200):

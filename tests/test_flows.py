@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from switchgain import Mode, Signal, SystemSpec, flows, gramians, l2gain, simulate, transition, trajectory_to_csv
 from switchgain.core import concat_signals
-from switchgain.flows import _Cursor, _expm_stack
+from switchgain.flows import _expm_stack, _spans
 from switchgain.gallery import alpha_star, example_system, rotated_nodes_pair
 
 from oracles import (
@@ -250,7 +250,7 @@ def assert_trajectory_close(new, ref):
 
 
 class TestCursorParity:
-    """The forward segment cursor returns the bits of per-step span clipping.
+    """flows._spans returns the bits of per-interval span clipping.
 
     Step operators, transitions and Gramians match bit for bit; simulated
     states and outputs within STATE_RTOL.
@@ -289,12 +289,14 @@ class TestCursorParity:
                 np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
     def test_queries_out_of_order(self):
-        # an interval starting earlier than the previous one restarts the cursor
+        # intervals in no time order, one call for all: each one's spans are its own
         sig = alternating_nodes_signal(20)
-        cursor = _Cursor(sig)
         H = sig.horizon
-        for s, t in ((0.7 * H, 0.9 * H), (0.1, 0.4), (0.0, H), (0.5, 0.5)):
-            assert cursor.clip(s, t) == clip_spans(sig, s, t)
+        intervals = ((0.7 * H, 0.9 * H), (0.1, 0.4), (0.0, H), (0.5, 0.5))
+        index, lo, hi, modes = _spans(sig, *zip(*intervals))
+        got = list(zip(index.tolist(), lo.tolist(), hi.tolist(), modes.tolist()))
+        assert got == [(k, *span) for k, (s, t) in enumerate(intervals)
+                       for span in clip_spans(sig, s, t)]
 
 
 def signal_ending_at(modes, targets):
@@ -453,14 +455,52 @@ class TestStepOperatorProperty:
             np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
 
+@st.composite
+def interval_cases(draw):
+    """(system, signal, s, t): a grid case's signal with s and t on its segment
+    ends, within 1e-14 or 1e-13 of one, equal, just outside [0, H], or s just
+    past t, each by up to the 1e-9 max(1, H) the interval check allows."""
+    sysm, sig, _, _ = draw(grid_cases())
+    ends = st.sampled_from((0.0,) + sig.segment_ends)
+    offsets = st.sampled_from([0.0, 1e-14, -1e-14, 1e-13, -1e-13])
+    s, t = sorted(draw(ends) + draw(offsets) for _ in range(2))
+    slack = draw(st.sampled_from([0.25, 1.0])) * 1e-9 * max(1.0, sig.horizon)
+    edge = draw(st.sampled_from(["none", "equal", "reversed", "below_zero", "past_horizon", "both"]))
+    if edge == "equal":
+        t = s
+    if edge == "reversed":
+        s = t + slack
+    if edge in ("below_zero", "both"):
+        s = -slack
+    if edge in ("past_horizon", "both"):
+        t = sig.horizon + slack
+    return sysm, sig, s, t
+
+
+class TestIntervalProperty:
+    """transition, gramians and the Riccati segments read the spans of per-interval
+    clipping, bit for bit, at interval ends on or next to segment ends."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(interval_cases())
+    def test_matches_per_interval_clipping(self, case):
+        sysm, sig, s, t = case
+        np.testing.assert_array_equal(transition(sysm, sig, s, t), reference_transition(sysm, sig, s, t))
+        new, ref = gramians(sysm, sig, s, t), reference_gramians(sysm, sig, s, t)
+        np.testing.assert_array_equal(new.wc, ref.wc)
+        np.testing.assert_array_equal(new.wo, ref.wo)
+        assert list(l2gain._reversed_segments(sig, t)) == [
+            (hi - lo, i) for lo, hi, i in reversed(clip_spans(sig, 0.0, t))]
+
+
 class TestGridCost:
     """Counted cost of one grid on 200 alternating nodes segments, 8 steps per segment.
 
-    Per-step clipping sent all 1,600 steps through the cursor, and built one
-    exponential per call; _zoh_grid clips every step elementwise,
-    with no cursor, builds every distinct (mode, rounded span) key in one
-    _expm_stack call, with no scipy expm, and simulate runs the recursion as
-    one banded solve.
+    Per-step clipping clipped the 1,600 steps one at a time, and built one
+    exponential per call; _zoh_grid clips every step in one _spans call,
+    builds every distinct (mode, rounded span) key in one _expm_stack call,
+    with no scipy expm, and simulate runs the recursion as one banded solve.
     """
 
     @pytest.mark.parametrize("run, solves", [
@@ -475,12 +515,12 @@ class TestGridCost:
         dt = sig.horizon / (8 * segments)
         keys = {(i, round(hi - lo, 15))
                 for k in range(8 * segments) for lo, hi, i in clip_spans(sig, k * dt, k * dt + dt)}
-        clips, stacks, scipy_exps, bands = [], [], [], []
-        clip, stack, band_solve = flows._Cursor.clip, flows._expm_stack, flows.dtbtrs
+        span_calls, stacks, scipy_exps, bands = [], [], [], []
+        spans, stack, band_solve = flows._spans, flows._expm_stack, flows.dtbtrs
 
-        def counting_clip(cursor, s, t):
-            clips.append(s)
-            return clip(cursor, s, t)
+        def counting_spans(sig, starts, stops):
+            span_calls.append(len(starts))
+            return spans(sig, starts, stops)
 
         def counting_stack(M):
             stacks.append(len(M))
@@ -490,12 +530,12 @@ class TestGridCost:
             bands.append(args)
             return band_solve(*args, **kwargs)
 
-        monkeypatch.setattr(flows._Cursor, "clip", counting_clip)
+        monkeypatch.setattr(flows, "_spans", counting_spans)
         monkeypatch.setattr(flows, "_expm_stack", counting_stack)
         monkeypatch.setattr(flows, "expm", lambda M: scipy_exps.append(M))
         monkeypatch.setattr(flows, "dtbtrs", counting_solve)
         run(sysm, sig, dt)
-        assert clips == []
+        assert span_calls == [8 * segments]
         assert len(stacks) == 1 and stacks[0] <= len(keys)
         assert scipy_exps == []
         assert len(bands) == solves

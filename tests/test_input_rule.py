@@ -3,9 +3,10 @@
 names it, before any work is done; so does every count that is not an
 integer at or above its least value, and every duration grid that is empty
 or holds a non-positive or non-finite entry.  Interval ends outside a
-signal's horizon, NaN included, are rejected by the cursor that clips them;
-a reversed interval, a horizon T beyond the signal's and an initial state of
-the wrong size are rejected with the names of the arguments."""
+signal's horizon, NaN included, are rejected by flows._check_interval, which
+also names the two ends of a reversed interval; a horizon T beyond the
+signal's and an initial state of the wrong size are rejected with the names
+of the arguments."""
 
 import math
 import signal
@@ -120,6 +121,14 @@ def test_rejected_with_its_name(entry, value):
 def test_nan_interval_end_rejected(call):
     with pytest.raises(ValueError, match="outside signal horizon"):
         call()
+
+
+@pytest.mark.parametrize("s, t", [(-3e-9, 1.0), (0.0, 2.0 + 3e-9)], ids=["below_zero", "past_horizon"])
+@pytest.mark.parametrize("call", [transition, gramians])
+def test_interval_end_past_tolerance_rejected(call, s, t):
+    # an end within 1e-9 max(1, H) = 2e-9 of [0, H] counts as on it, one 1.5 times as far not
+    with pytest.raises(ValueError, match="outside signal horizon"):
+        call(NODES, SIG2, s, t)
 
 
 SIG2 = Signal(((0, 1.0), (1, 1.0)))
