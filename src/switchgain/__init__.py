@@ -5,7 +5,6 @@ minimal dwell-time bracketing.
 """
 
 from .core import (
-    AlphaSignal,
     Mode,
     Signal,
     SignalClassSpec,

@@ -3,12 +3,14 @@ piecewise-constant switching signals, plus parsing and class-membership checks.
 
 A system is a finite set of modes (A_i, B_i, C_i) with shared dimensions
 (n, m, p).  A switching signal is an ordered list of (mode index, duration)
-segments; class membership (dwell time, average dwell time, persistent
-excitation, Lipschitz, bounded variation) is validated exactly on the
-piecewise-constant carrier.  Boundary dwell counts: a signal is accepted for
-the dwell class only if every (mode-merged) segment, including the first and
-last one, lasts at least the dwell time, so that two valid signals always
-concatenate into a valid signal.
+segments.  The signal classes are the ones the paper's questions are asked
+under: arbitrary switching, dwell time and average dwell time; membership is
+validated exactly on the piecewise-constant signal.  Boundary dwell counts: a
+signal is accepted for the dwell class only if every (mode-merged) segment,
+including the first and last one, lasts at least the dwell time, so that two
+valid signals always concatenate into a valid signal.  The gain search, the
+finiteness test and the observability check take the arbitrary and dwell
+classes only, through SignalClassSpec.dwell_floor.
 
 Public numeric arguments, counts and duration grids go through
 _check_positive_finite, _check_count and _check_durations, which raise
@@ -32,7 +34,6 @@ __all__ = [
     "SystemSpec",
     "SignalClassSpec",
     "Signal",
-    "AlphaSignal",
     "Violation",
     "ViolationReport",
     "parse_system",
@@ -43,7 +44,7 @@ __all__ = [
     "concat_signals",
 ]
 
-_KINDS = ("arbitrary", "dwell", "avg_dwell", "pers_exc", "lipschitz", "bv")
+_KINDS = ("arbitrary", "dwell", "avg_dwell")
 
 
 def _positive_finite(*values):
@@ -145,38 +146,33 @@ class SystemSpec:
 class SignalClassSpec:
     """Tagged description of one constrained switching class.
 
-    kind is one of 'arbitrary', 'dwell', 'avg_dwell', 'pers_exc', 'lipschitz',
-    'bv'; only the parameters of the chosen kind are set.
+    kind is 'arbitrary', 'dwell' (dwell time tau) or 'avg_dwell' (average
+    dwell time tau with chatter bound n0); only the parameters of the chosen
+    kind are set.
     """
 
     kind: str
     tau: float | None = None
     n0: int | None = None
-    T: float | None = None
-    mu: float | None = None
-    L: float | None = None
-    nu: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown signal class kind {self.kind!r}")
+        if self.kind != "arbitrary" and not _positive_finite(self.tau):
+            raise ValueError(f"{self.kind} class requires finite tau > 0, got {self.tau!r}")
+        if self.kind == "avg_dwell":
+            _check_count("n0", self.n0, 1)
+
+    @property
+    def dwell_floor(self):
+        """0.0 for the arbitrary class, tau for the dwell class; ValueError for
+        any other kind, which the analyses that read it do not support."""
+        if self.kind == "arbitrary":
+            return 0.0
         if self.kind == "dwell":
-            if not _positive_finite(self.tau):
-                raise ValueError(f"dwell class requires finite tau > 0, got {self.tau!r}")
-        elif self.kind == "avg_dwell":
-            if not _positive_finite(self.tau):
-                raise ValueError(f"avg_dwell class requires finite tau > 0, got {self.tau!r}")
-            if self.n0 is None or self.n0 < 1 or int(self.n0) != self.n0:
-                raise ValueError("avg_dwell class requires positive integer N0")
-        elif self.kind == "pers_exc":
-            if not (_positive_finite(self.T, self.mu) and self.mu <= self.T):
-                raise ValueError("pers_exc class requires 0 < mu <= T, both finite")
-        elif self.kind == "lipschitz":
-            if not _positive_finite(self.L):
-                raise ValueError(f"lipschitz class requires finite L > 0, got {self.L!r}")
-        elif self.kind == "bv":
-            if not _positive_finite(self.T, self.nu):
-                raise ValueError("bv class requires finite T > 0 and nu > 0")
+            return self.tau
+        raise ValueError(f"only the arbitrary and dwell classes are supported here, "
+                         f"not {self.kind!r}")
 
     @staticmethod
     def arbitrary():
@@ -201,35 +197,7 @@ class SignalClassSpec:
 
     @staticmethod
     def avg_dwell(tau, n0):
-        return SignalClassSpec("avg_dwell", tau=float(tau), n0=int(n0))
-
-    @staticmethod
-    def pers_exc(T, mu):
-        return SignalClassSpec("pers_exc", T=float(T), mu=float(mu))
-
-    @staticmethod
-    def lipschitz(L):
-        return SignalClassSpec("lipschitz", L=float(L))
-
-    @staticmethod
-    def bv(T, nu):
-        return SignalClassSpec("bv", T=float(T), nu=float(nu))
-
-
-def _check_segments(segments, value_check):
-    if not segments:
-        raise ValueError("signal needs at least one segment")
-    out = []
-    total = 0.0
-    for k, (v, d) in enumerate(segments):
-        d = float(d)
-        if not (d > 0 and math.isfinite(d)):
-            raise ValueError(f"segment {k}: duration must be positive and finite")
-        out.append((value_check(v, k), d))
-        total += d
-    if not math.isfinite(total):
-        raise ValueError("total duration must be finite")
-    return tuple(out)
+        return SignalClassSpec("avg_dwell", tau=float(tau), n0=n0)
 
 
 @dataclass(frozen=True)
@@ -239,12 +207,25 @@ class Signal:
     segments: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        def check(v, k):
-            if int(v) != v or v < 0:
+        if not self.segments:
+            raise ValueError("signal needs at least one segment")
+        out = []
+        total = 0.0
+        for k, (v, d) in enumerate(self.segments):
+            try:
+                i = int(v)
+            except (TypeError, ValueError, OverflowError):   # NaN, infinite, not a number
+                i = -1
+            if i != v or i < 0:
                 raise ValueError(f"segment {k}: mode index must be a nonnegative integer")
-            return int(v)
-
-        object.__setattr__(self, "segments", _check_segments(self.segments, check))
+            d = float(d)
+            if not (d > 0 and math.isfinite(d)):
+                raise ValueError(f"segment {k}: duration must be positive and finite")
+            out.append((i, d))
+            total += d
+        if not math.isfinite(total):
+            raise ValueError("total duration must be finite")
+        object.__setattr__(self, "segments", tuple(out))
 
     @property
     def horizon(self):
@@ -285,26 +266,6 @@ class Signal:
                 raise ValueError(f"segment {k}: mode index {i} out of range for system")
 
 
-@dataclass(frozen=True)
-class AlphaSignal:
-    """Piecewise-constant convex weight for the persistent-excitation class."""
-
-    segments: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        def check(v, k):
-            v = float(v)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"segment {k}: alpha must lie in [0, 1]")
-            return v
-
-        object.__setattr__(self, "segments", _check_segments(self.segments, check))
-
-    @property
-    def horizon(self):
-        return sum(d for _, d in self.segments)
-
-
 def concat_signals(first: Signal, second: Signal) -> Signal:
     """Concatenation: second signal appended after the first (merging equal junctions)."""
     return Signal(first.segments + second.segments).merged()
@@ -332,60 +293,17 @@ def _report(violations):
     return ViolationReport(ok=not violations, violations=tuple(violations))
 
 
-def _window_starts(breaks, T, horizon):
-    """Candidate window anchors: breakpoints and window-shifted breakpoints.
-
-    Exact for piecewise-constant data: the window functionals are piecewise
-    linear (or piecewise constant) in the anchor, so extrema sit at these
-    points (midpoints are added for the piecewise-constant case).
-    """
-    cand = set([0.0, max(0.0, horizon - T)])
-    for b in breaks:
-        for s in (b, b - T):
-            if -1e-12 <= s <= horizon - T + 1e-12:
-                cand.add(min(max(s, 0.0), horizon - T))
-    cand = sorted(cand)
-    mids = [0.5 * (a + b) for a, b in zip(cand[:-1], cand[1:])]
-    return sorted(set(cand + mids))
-
-
-def _mode_distance(sys, i, j):
-    mi, mj = sys.modes[i], sys.modes[j]
-    return math.sqrt(
-        np.sum((mi.A - mj.A) ** 2)
-        + np.sum((mi.B - mj.B) ** 2)
-        + np.sum((mi.C - mj.C) ** 2)
-    )
-
-
-def validate_membership(sig, cls: SignalClassSpec, sys: SystemSpec | None = None) -> ViolationReport:
+def validate_membership(sig: Signal, cls: SignalClassSpec) -> ViolationReport:
     """Check whether a signal belongs to the class, restricted to its horizon.
 
     The verdict is carried in the report; no exception is raised for a
-    non-member.  The bv class measures jump sizes in the matrix-triple norm
-    and therefore needs the owning SystemSpec.
+    non-member.
     """
-    if cls.kind == "pers_exc":
-        if not isinstance(sig, AlphaSignal):
-            raise TypeError("pers_exc membership is checked on AlphaSignal carriers")
-        return _validate_pers_exc(sig, cls)
-    if not isinstance(sig, Signal):
-        raise TypeError(f"{cls.kind} membership is checked on Signal carriers")
-
     if cls.kind == "arbitrary":
         return _report([])
     if cls.kind == "dwell":
         return _validate_dwell(sig, cls.tau)
-    if cls.kind == "avg_dwell":
-        return _validate_avg_dwell(sig, cls.tau, cls.n0)
-    if cls.kind == "lipschitz":
-        return _validate_lipschitz(sig)
-    if cls.kind == "bv":
-        if sys is None:
-            raise ValueError("bv membership needs the SystemSpec to measure jump sizes")
-        sig.check_modes(sys)
-        return _validate_bv(sig, cls, sys)
-    raise AssertionError(cls.kind)
+    return _validate_avg_dwell(sig, cls.tau, cls.n0)
 
 
 def _validate_dwell(sig, tau):
@@ -410,67 +328,6 @@ def _validate_avg_dwell(sig, tau, n0):
             bound = n0 + width / tau
             if count > bound + 1e-12:
                 violations.append(Violation("avg_dwell", switches[b], count, bound))
-    return _report(violations)
-
-
-def _validate_pers_exc(sig, cls):
-    T, mu = cls.T, cls.mu
-    horizon = sig.horizon
-    if horizon < T:
-        return _report([])  # no complete window inside the horizon
-    breaks, t = [0.0], 0.0
-    for _, d in sig.segments:
-        t += d
-        breaks.append(t)
-    values = np.array([v for v, _ in sig.segments])
-    edges = np.array(breaks)
-
-    def window_integral(s):
-        lo, hi = s, s + T
-        left = np.clip(edges[:-1], lo, hi)
-        right = np.clip(edges[1:], lo, hi)
-        return float(np.sum(values * np.maximum(right - left, 0.0)))
-
-    violations = []
-    for s in _window_starts(breaks, T, horizon):
-        got = window_integral(s)
-        if got < mu - 1e-9:
-            violations.append(Violation("pers_exc", s, got, mu))
-    return _report(violations)
-
-
-def _validate_lipschitz(sig):
-    # A piecewise-constant carrier is Lipschitz only if it never jumps.
-    violations = []
-    for t in sig.switch_times():
-        violations.append(Violation("lipschitz", t, math.inf, 0.0))
-    return _report(violations)
-
-
-def _validate_bv(sig, cls, sys):
-    T, nu = cls.T, cls.nu
-    merged = sig.merged().segments
-    horizon = sig.horizon
-    jumps, t = [], 0.0
-    for (i, d), (j, _) in zip(merged[:-1], merged[1:]):
-        t += d
-        jumps.append((t, _mode_distance(sys, i, j)))
-    if not jumps:
-        return _report([])
-    win = min(T, horizon)
-    times = np.array([t for t, _ in jumps])
-    sizes = np.array([w for _, w in jumps])
-
-    def window_sum(s):
-        # variation of the right-continuous carrier over [s, s+win]
-        mask = (times > s + 1e-12) & (times <= s + win + 1e-12)
-        return float(sizes[mask].sum())
-
-    violations = []
-    for s in _window_starts(list(times), win, horizon):
-        got = window_sum(s)
-        if got > nu + 1e-9:
-            violations.append(Violation("bv", s, got, nu))
     return _report(violations)
 
 
@@ -515,7 +372,7 @@ def parse_signal(text: str) -> Signal:
         raise ValueError(f"malformed signal document: {exc}") from exc
     if "segments" not in doc:
         raise ValueError("signal document missing key 'segments'")
-    return Signal(tuple((int(i), float(d)) for i, d in doc["segments"]))
+    return Signal(tuple(doc["segments"]))
 
 
 def serialize_signal(sig: Signal) -> str:

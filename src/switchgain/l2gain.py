@@ -91,7 +91,7 @@ from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_dur
                    _check_positive_finite, validate_membership)
 from .flows import _expm_stack, _gram_block, _spans, _step_solver, _zoh_grid
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
-from .spectral import RhoEstimate, certification_grid, class_tau, rho_lower, rho_upper
+from .spectral import RhoEstimate, certification_grid, rho_lower, rho_upper
 
 __all__ = [
     "GainEstimate",
@@ -835,9 +835,7 @@ def gain_search(
     _check_positive_finite("tol", tol)
     _check_count("max_switches", max_switches, 0)
     _check_count("eval_budget", eval_budget, 1)
-    if cls.kind not in ("arbitrary", "dwell"):
-        raise ValueError(f"gain search supports arbitrary/dwell classes, not {cls.kind!r}")
-    tau = class_tau(cls)
+    tau = cls.dwell_floor
     if duration_grid is None:
         duration_grid = tuple(T * f for f in (0.125, 0.25, 0.5, 0.75))
     duration_grid = _check_durations("duration_grid", duration_grid, T if max_switches else None)
@@ -929,17 +927,16 @@ def finiteness_test(
     without uniform observability a unit spectral radius genuinely leaves
     both outcomes open.
     """
-    if cls.kind not in ("arbitrary", "dwell"):
-        raise ValueError(f"finiteness test supports arbitrary/dwell classes, not {cls.kind!r}")
+    tau = cls.dwell_floor
     minreal = minimal_realization(sys)
     if minreal.dim == 0:
-        zero = RhoEstimate(tau=class_tau(cls), lower=0.0, upper=0.0, witness=None,
+        zero = RhoEstimate(tau=tau, lower=0.0, upper=0.0, witness=None,
                            inflation=1.0, flags=("zero_system",))
         return FinitenessVerdict("finite", zero, None,
                                  "minimal realization is zero-dimensional; the gain is 0", 0)
     ms = minreal.sys_min
     est = rho_upper(ms, cls, lower_estimate=rho_lower(ms, cls), **(upper_opts or {}))
-    window = max(1.0, 2.0 * class_tau(cls))
+    window = max(1.0, 2.0 * tau)
     obs = check_uniform_observability(ms, cls, window, samples=12, seed=seed)
 
     obs_text = {

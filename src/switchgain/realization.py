@@ -257,13 +257,13 @@ def _kalman_observable(A, C):
     return int(np.sum(s > _RANK_RTOL * s[0] * max(O.shape))) == n
 
 
-def _random_class_signal(n_modes, kind, tau, horizon, rng):
+def _random_class_signal(n_modes, tau, horizon, rng):
     segs, t, prev = [], 0.0, -1
     while t < horizon:
         i = int(rng.integers(0, n_modes))
         if i == prev and n_modes > 1:
             i = (i + 1) % n_modes
-        if kind == "dwell":
+        if tau > 0:
             d = tau * (1.0 + float(rng.random()))
         else:
             d = max(horizon * (0.05 + 0.25 * float(rng.random())), 1e-3)
@@ -288,8 +288,7 @@ def check_uniform_observability(
     direction is certified; an all-observable outcome stays inconclusive and
     the report carries the sampled floor.
     """
-    if cls.kind not in ("arbitrary", "dwell"):
-        raise ValueError(f"unsupported class kind {cls.kind!r} for observability check")
+    tau = cls.dwell_floor
     _check_positive_finite("window", window)
     _check_count("samples", samples, 1)
     per_mode = tuple(_kalman_observable(m.A, m.C) for m in sys.modes)
@@ -297,9 +296,7 @@ def check_uniform_observability(
     rng = np.random.default_rng(seed)
     floor = math.inf
     for _ in range(samples):
-        sig = _random_class_signal(sys.n_modes, cls.kind,
-                                   cls.tau if cls.kind == "dwell" else 0.0,
-                                   window, rng)
+        sig = _random_class_signal(sys.n_modes, tau, window, rng)
         pair = gramians(sys, sig, 0.0, window)
         lam = np.linalg.eigvalsh(pair.wo)[0] if sys.n else 0.0
         floor = min(floor, float(lam))
@@ -307,7 +304,7 @@ def check_uniform_observability(
 
     if not all(per_mode):
         verdict = "not_uniformly_observable"
-    elif cls.kind == "dwell":
+    elif tau > 0:
         verdict = "uniformly_observable"
     else:
         verdict = "inconclusive"

@@ -93,21 +93,15 @@ _PSD_TOL = 1e-10
 def class_tau(cls: SignalClassSpec, *, for_upper: bool = False) -> float:
     """Dwell floor used by the word machinery for a class.
 
-    arbitrary -> 0, dwell -> tau.  avg_dwell routes through dwell machinery:
-    its words searched with dwell tau are class-valid (lower side), while the
-    upper side must cover the whole piecewise-constant superclass (tau 0)
-    unless N0 = 1, in which case the classes coincide.  pers_exc and the
-    Lipschitz/BV classes are not supported here.
+    arbitrary -> 0, dwell -> tau (SignalClassSpec.dwell_floor).  avg_dwell
+    routes through dwell machinery: its words searched with dwell tau are
+    class-valid (lower side), while the upper side must cover the whole
+    piecewise-constant superclass (tau 0) unless N0 = 1, in which case the
+    classes coincide.
     """
-    if cls.kind == "arbitrary":
-        return 0.0
-    if cls.kind == "dwell":
-        return cls.tau
     if cls.kind == "avg_dwell":
-        if cls.n0 == 1:
-            return cls.tau
-        return 0.0 if for_upper else cls.tau
-    raise ValueError(f"class kind {cls.kind!r} is not supported by the spectral machinery")
+        return 0.0 if for_upper and cls.n0 != 1 else cls.tau
+    return cls.dwell_floor
 
 
 # stored generators after which the certifier gives up ('budget_exhausted')

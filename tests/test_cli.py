@@ -418,6 +418,16 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: rho upper bound's grid inflation")
 
+    def test_infinite_mode_index_in_signal_file(self, tmp_path, scalar_system_file, capsys):
+        # parse_signal's int() cast escaped main as OverflowError
+        path = tmp_path / "signal.json"
+        path.write_text('{"segments": [[Infinity, 1.0]]}')
+        assert main(["gain", "--system", scalar_system_file, "--signal", str(path),
+                     "--T", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: segment 0: mode index must be a nonnegative integer\n"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

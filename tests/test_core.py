@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from switchgain import (
-    AlphaSignal,
     Mode,
     Signal,
     SignalClassSpec,
@@ -83,6 +82,23 @@ class TestSignal:
     def test_positive_durations(self):
         with pytest.raises(ValueError):
             Signal(((0, 0.0),))
+
+    @pytest.mark.parametrize("index", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mode_index_named(self, index):
+        # int() raised numpy's or Python's own message, naming no segment
+        with pytest.raises(ValueError, match="^segment 1: mode index must be a nonnegative integer$"):
+            Signal(((0, 1.0), (index, 1.0)))
+
+    @pytest.mark.parametrize("index", ["1.5", "Infinity", "-Infinity", "NaN"])
+    def test_parse_rejects_bad_mode_index(self, index):
+        # 1.5 was truncated to mode 1 and Infinity raised OverflowError
+        with pytest.raises(ValueError, match="^segment 0: mode index must be a nonnegative integer$"):
+            parse_signal('{"segments": [[%s, 1.0]]}' % index)
+
+    def test_parse_keeps_integral_float_mode_index(self):
+        sig = parse_signal('{"segments": [[1.0, 2]]}')
+        assert sig.segments == ((1, 2.0),)
+        assert type(sig.segments[0][0]) is int
 
     def test_merge_and_switch_times(self):
         sig = Signal(((0, 1.0), (0, 1.0), (1, 1.0)))
@@ -205,77 +221,13 @@ class TestAvgDwell:
             assert validate_membership(sig, cls).ok == brute_force_avg_dwell_ok(sig, 1.5, 2)
 
 
-class TestPersExc:
-    def test_constant_alpha_passes(self):
-        sig = AlphaSignal(((0.6, 10.0),))
-        assert validate_membership(sig, SignalClassSpec.pers_exc(2.0, 1.0)).ok
-
-    def test_long_zero_stretch_fails(self):
-        sig = AlphaSignal(((1.0, 1.0), (0.0, 3.0), (1.0, 1.0)))
-        rep = validate_membership(sig, SignalClassSpec.pers_exc(2.0, 1.0))
-        assert not rep.ok
-
-    def test_windows_against_fine_grid(self):
-        sig = AlphaSignal(((0.8, 1.0), (0.2, 1.5), (1.0, 2.0), (0.4, 1.0)))
-        T, mu = 2.0, 1.0
-        rep = validate_membership(sig, SignalClassSpec.pers_exc(T, mu))
-        values = [v for v, _ in sig.segments]
-        edges = np.concatenate([[0.0], np.cumsum([d for _, d in sig.segments])])
-
-        def integral(s):
-            left = np.clip(edges[:-1], s, s + T)
-            right = np.clip(edges[1:], s, s + T)
-            return float(np.sum(np.array(values) * np.maximum(right - left, 0)))
-
-        dense = min(integral(s) for s in np.linspace(0.0, sig.horizon - T, 3000))
-        assert rep.ok == (dense >= mu - 1e-9)
-
-    def test_short_horizon_vacuous(self):
-        sig = AlphaSignal(((0.0, 0.5),))
-        assert validate_membership(sig, SignalClassSpec.pers_exc(2.0, 1.0)).ok
-
-
-class TestLipschitzBV:
-    def test_constant_signal_lipschitz(self):
-        assert validate_membership(Signal(((0, 3.0),)), SignalClassSpec.lipschitz(1.0)).ok
-
-    def test_any_jump_fails_lipschitz(self):
-        rep = validate_membership(Signal(((0, 1.0), (1, 1.0))),
-                                  SignalClassSpec.lipschitz(100.0))
-        assert not rep.ok
-        assert rep.violations[0].measured == math.inf
-
-    def test_bv_needs_system(self):
-        with pytest.raises(ValueError, match="SystemSpec"):
-            validate_membership(Signal(((0, 1.0), (1, 1.0))),
-                                SignalClassSpec.bv(1.0, 1.0))
-
-    def test_bv_window_sums(self):
-        sysm = example_system(2.0)
-        sig = Signal(((0, 1.0), (1, 1.0), (0, 1.0)))
-        jump = math.sqrt(np.sum((sysm.A(0) - sysm.A(1)) ** 2))
-        ok_cls = SignalClassSpec.bv(1.5, 2.5 * jump)
-        assert validate_membership(sig, ok_cls, sysm).ok
-        # both jumps land in one window of length 1.5 -> sum 2*jump
-        tight = SignalClassSpec.bv(1.5, 1.5 * jump)
-        rep = validate_membership(sig, tight, sysm)
-        assert not rep.ok
-        assert rep.violations[0].measured == pytest.approx(2.0 * jump)
-
-    def test_constant_passes_bv(self):
-        sysm = example_system(2.0)
-        assert validate_membership(Signal(((2, 4.0),)),
-                                   SignalClassSpec.bv(1.0, 1e-6), sysm).ok
-
-
 class TestClassSpecValidation:
     @pytest.mark.parametrize("bad", [
         lambda: SignalClassSpec.dwell(0.0),
         lambda: SignalClassSpec.dwell(-1.0),
         lambda: SignalClassSpec.avg_dwell(1.0, 0),
-        lambda: SignalClassSpec.pers_exc(1.0, 2.0),
-        lambda: SignalClassSpec.lipschitz(0.0),
-        lambda: SignalClassSpec.bv(0.0, 1.0),
+        # a fractional n0 was truncated to 2
+        pytest.param(lambda: SignalClassSpec.avg_dwell(1.0, 2.5), id="avg_dwell_n0_fractional"),
     ])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError):
@@ -288,14 +240,11 @@ class TestClassSpecValidation:
         lambda: SignalClassSpec.dwell(math.inf),
         lambda: SignalClassSpec.avg_dwell(math.nan, 1),
         lambda: SignalClassSpec.avg_dwell(math.inf, 2),
-        lambda: SignalClassSpec.pers_exc(math.inf, 1.0),
-        lambda: SignalClassSpec.lipschitz(math.nan),
-        lambda: SignalClassSpec.lipschitz(math.inf),
-        lambda: SignalClassSpec.bv(math.nan, 1.0),
-        lambda: SignalClassSpec.bv(1.0, math.nan),
-        lambda: SignalClassSpec.bv(math.inf, 1.0),
-    ], ids=["dwell_nan", "dwell_inf", "avg_dwell_nan", "avg_dwell_inf", "pers_exc_inf",
-            "lipschitz_nan", "lipschitz_inf", "bv_T_nan", "bv_nu_nan", "bv_T_inf"])
+        # an infinite n0 raised OverflowError
+        lambda: SignalClassSpec.avg_dwell(1.0, math.inf),
+        lambda: SignalClassSpec("avg_dwell", tau=1.0, n0=math.inf),
+    ], ids=["dwell_nan", "dwell_inf", "avg_dwell_nan", "avg_dwell_inf", "avg_dwell_n0_inf",
+            "avg_dwell_n0_inf_direct"])
     def test_non_finite_parameters(self, bad):
         with pytest.raises(ValueError, match="finite"):
             bad()

@@ -978,8 +978,8 @@ class TestGainSearch:
 
     def test_unsupported_class(self):
         sysm = single_mode([[-1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(ValueError, match="class"):
-            gain_search(sysm, SignalClassSpec.pers_exc(1.0, 0.5), 2.0)
+        with pytest.raises(ValueError, match="arbitrary and dwell classes"):
+            gain_search(sysm, SignalClassSpec.avg_dwell(1.0, 2), 2.0)
 
 
 class TestMinimalRealizationGainInvariance:
@@ -1031,6 +1031,11 @@ class TestFiniteness:
         verdict = finiteness_test(sysm, SignalClassSpec.dwell(1.0))
         assert verdict.verdict == "infinite"
         assert "uniformly observable" in verdict.rationale
+
+    def test_unsupported_class(self):
+        sysm = single_mode([[-1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="arbitrary and dwell classes"):
+            finiteness_test(sysm, SignalClassSpec.avg_dwell(1.0, 2))
 
 
 class TestFinitenessSoundness:

@@ -190,8 +190,8 @@ class TestUniformObservability:
 
     def test_unsupported_class(self):
         sysm = controllable_single_mode(seed=37)
-        with pytest.raises(ValueError, match="class"):
-            check_uniform_observability(sysm, SignalClassSpec.pers_exc(1.0, 0.5), 1.0)
+        with pytest.raises(ValueError, match="arbitrary and dwell classes"):
+            check_uniform_observability(sysm, SignalClassSpec.avg_dwell(1.0, 2), 1.0)
 
     def test_all_observable_arbitrary_inconclusive(self):
         sysm = controllable_single_mode(seed=41)
