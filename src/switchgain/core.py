@@ -76,19 +76,19 @@ def _check_durations(name, grid, below=None):
     return grid
 
 
-def _freeze(arr):
-    arr = np.array(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_matrix(value, rows, cols, name):
-    arr = np.asarray(value, dtype=float)
+    if value is None:
+        raise ValueError(f"{name} is missing")
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a {rows}x{cols} array of numbers") from None
     if arr.shape != (rows, cols):
         raise ValueError(f"{name} must have shape {(rows, cols)}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    return _freeze(arr)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +104,8 @@ class Mode:
 class SystemSpec:
     """A bounded finite set of modes with dimensions (n, m, p).
 
-    n may be zero (fully reduced system); m and p are positive.  All mode
-    matrices are validated for shape and finiteness and stored read-only.
+    n may be zero (fully reduced system); m and p are positive (2.0 is 2).
+    All mode matrices are validated for shape and finiteness and stored read-only.
     """
 
     n: int
@@ -115,9 +115,12 @@ class SystemSpec:
     label: str = ""
 
     def __post_init__(self):
+        for key in ("n", "m", "p"):
+            v = getattr(self, key)
+            v = int(v) if isinstance(v, float) and v.is_integer() else v
+            _check_count(f"system dimension {key}", v, 0 if key == "n" else 1)
+            object.__setattr__(self, key, v)
         n, m, p = self.n, self.m, self.p
-        if n < 0 or m <= 0 or p <= 0:
-            raise ValueError(f"invalid dimensions (n={n}, m={m}, p={p})")
         if not self.modes:
             raise ValueError("modes list must be non-empty")
         checked = []
@@ -211,14 +214,18 @@ class Signal:
             raise ValueError("signal needs at least one segment")
         out = []
         total = 0.0
-        for k, (v, d) in enumerate(self.segments):
+        for k, seg in enumerate(self.segments):
+            try:
+                v, d = seg
+                d = float(d)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"segment {k}: {seg!r} is not a [mode, duration] pair") from None
             try:
                 i = int(v)
             except (TypeError, ValueError, OverflowError):   # NaN, infinite, not a number
                 i = -1
             if i != v or i < 0:
                 raise ValueError(f"segment {k}: mode index must be a nonnegative integer")
-            d = float(d)
             if not (d > 0 and math.isfinite(d)):
                 raise ValueError(f"segment {k}: duration must be positive and finite")
             out.append((i, d))
@@ -306,12 +313,18 @@ def validate_membership(sig: Signal, cls: SignalClassSpec) -> ViolationReport:
     return _validate_avg_dwell(sig, cls.tau, cls.n0)
 
 
+def _dwell_least(tau):
+    """The dwell rule: the shortest duration a segment may last under dwell time tau."""
+    return tau - 1e-12
+
+
 def _validate_dwell(sig, tau):
     violations = []
     t = 0.0
+    least = _dwell_least(tau)
     for i, d in sig.merged().segments:
         t += d
-        if d < tau - 1e-12:
+        if d < least:
             violations.append(Violation("dwell", t, d, tau))
     return _report(violations)
 
@@ -342,13 +355,13 @@ def parse_system(text: str) -> SystemSpec:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
     for key in ("n", "m", "p", "modes"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"system document missing key {key!r}")
-    modes = [Mode(np.asarray(m["A"], dtype=float),
-                  np.asarray(m["B"], dtype=float),
-                  np.asarray(m["C"], dtype=float)) for m in doc["modes"]]
-    return SystemSpec(int(doc["n"]), int(doc["m"]), int(doc["p"]),
-                      tuple(modes), str(doc.get("label", "")))
+    if not (isinstance(doc["modes"], list) and all(isinstance(m, dict) for m in doc["modes"])):
+        raise ValueError("system document: modes must be a list of objects with keys A, B and C")
+    return SystemSpec(doc["n"], doc["m"], doc["p"],
+                      tuple(Mode(m.get("A"), m.get("B"), m.get("C")) for m in doc["modes"]),
+                      str(doc.get("label", "")))
 
 
 def serialize_system(sys: SystemSpec) -> str:
@@ -370,8 +383,10 @@ def parse_signal(text: str) -> Signal:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed signal document: {exc}") from exc
-    if "segments" not in doc:
+    if not isinstance(doc, dict) or "segments" not in doc:
         raise ValueError("signal document missing key 'segments'")
+    if not isinstance(doc["segments"], list):
+        raise ValueError("signal document: segments must be a list of [mode, duration] pairs")
     return Signal(tuple(doc["segments"]))
 
 

@@ -47,32 +47,28 @@ singular that rounding cannot flip the sign.
 
 Two schedules apply this rule, with one copy of each of its parts: the
 bound (escape_bounds), the trial (_escapes) and the step with its guard
-and halving (_substep).  _riccati_feasible tests one gamma segment after
-segment, on stacks of one.  _riccati_rows decides many (signal, gamma)
-rows in one backward pass: it chains whole-segment steps P -> Y X^-1 for
-every row, with the exponentials of all (segment, row) pairs from one
-batched Pade call, and then certifies every pair from the P the chain gave
-at its start, all pairs at once (the argument is in its docstring).  Both
-stay: on a stack of one, _certify costs more per substep than
+and halving (_substep).  Both read a signal as the durations and modes of
+its segments listed backwards from T.  _riccati_feasible tests one gamma
+segment after segment, on stacks of one.  _riccati_rows decides the rows
+of a padded (segment, row) table, each a signal at a gamma, in one
+backward pass: it chains whole-segment steps P -> Y X^-1 with the
+exponentials of all pairs from one batched Pade call, then certifies every
+pair from the P the chain gave at its start (argument in its docstring).
+Both stay: on a stack of one, _certify costs more per substep than
 _riccati_feasible (127 against 106 us, nodes pair, one segment, 15
 substeps, 2-vCPU Xeon), and long signals give it stacks of 200 to 1000.
-The bracket search and the bisection decide several gammas per pass on
-signals of _SWEEP_SEGMENTS segments or more (the powers of two near the
-one needed, the 2^3 - 1 midpoints of the next three bisection steps) and
-then walk the same dyadic path as one gamma at a time, so the returned
-value is the same.
+On signals of _SWEEP_SEGMENTS segments or more the bracket search and the
+bisection decide several gammas per pass (the powers of two near the one
+needed, the 2^3 - 1 midpoints of the next three steps) and walk the same
+dyadic path as one gamma at a time.
 
 _bisection is the one bisection, for gain_for_signal and for each
 gain_search candidate.  Zero rule: it returns 0.0 without a test when no
-input can reach an output, that is when the minimal realization has
-dimension 0, or every mode of the signal has B = 0, or every one C = 0,
-read exactly on the caller's system; so no schedule meets a
-zero-dimensional kernel.  It fails every gamma at or below its floor
-without a test.  gain_search probes chunks of candidates at the best gain
-so far when that is positive, one _riccati_rows pass each, and bisects a
-failed one above that best.  The best changes only there, and the chunk's
-later decisions are then dropped, so each decision read was taken at the
-best of its turn, as one at a time.
+input can reach an output: the minimal realization has dimension 0, or
+every mode of the signal has B = 0, or every one C = 0, read exactly on
+the caller's system.  It fails every gamma at or below its floor without a
+test: gain_search bisects a candidate whose probe at the best gain so far
+failed above that best.
 """
 
 from __future__ import annotations
@@ -88,7 +84,7 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
 from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_durations,
-                   _check_positive_finite, validate_membership)
+                   _check_positive_finite, _dwell_least)
 from .flows import _expm_stack, _gram_block, _spans, _step_solver, _zoh_grid
 from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
 from .spectral import RhoEstimate, certification_grid, rho_lower, rho_upper
@@ -160,25 +156,11 @@ class TauMinResult:
 # Riccati bounded-real test
 
 
-class _Segments(tuple):
-    """(duration, mode) pairs, with the durations and modes also as arrays.
-
-    The arrays, dts and modes, are built once with the pairs; every row pass
-    over the same segments fills its (segment, row) table from them.
-    """
-
-    def __new__(cls, pairs):
-        self = super().__new__(cls, pairs)
-        self.dts = np.array([dt for dt, _ in self], dtype=float)
-        self.modes = np.array([i for _, i in self], dtype=int)
-        return self
-
-
 def _reversed_segments(sig, T):
-    """Segments of the signal on [0, T], listed backwards from T; T <= sig.horizon,
-    as the callers check it (_check_horizon) or build the signal on [0, T]."""
+    """(durations, modes) of the signal's segments on [0, T], backwards from T;
+    T <= sig.horizon, as the callers check it (_check_horizon)."""
     _, lo, hi, modes = _spans(sig, [0.0], [T])
-    return _Segments(zip((hi - lo)[::-1].tolist(), modes[::-1].tolist()))
+    return (hi - lo)[::-1], modes[::-1]
 
 
 def _escape_time(a, b, c):
@@ -376,33 +358,33 @@ _STACK_MIN = 3
 _SUBSTEP_BUDGET = 2000
 
 
-def _budget_error(gamma, rev_segs, seg):
-    """The error of a test at gamma past _SUBSTEP_BUDGET on rev_segs[seg]."""
+def _budget_error(gamma, segments, seg):
+    """The error of a test at gamma past _SUBSTEP_BUDGET on backward segment seg of `segments`."""
     return RuntimeError(f"Riccati test at gamma={float(gamma)!r} took more than "
-                        f"{_SUBSTEP_BUDGET} substeps on segment {len(rev_segs) - 1 - seg}")
+                        f"{_SUBSTEP_BUDGET} substeps on segment {segments - 1 - seg}")
 
 
-def _riccati_feasible(kern, rev_segs, gamma):
+def _riccati_feasible(kern, rev, gamma):
     """True when the backward Riccati equation stays bounded on the horizon.
 
-    The test of one gamma, segment after segment, on stacks of one: each
-    constant-mode segment is propagated exactly in substeps h of at most half
-    the escape-time bound (_substep).  When the bound does not cover the rest
-    of a segment, one trial across it first looks for a certified escape
-    (_escapes).
+    The test of one gamma on rev (_reversed_segments), segment after segment,
+    on stacks of one: each constant-mode segment is propagated exactly in
+    substeps h of at most half the escape-time bound (_substep).  When the
+    bound does not cover the rest of a segment, one trial across it first
+    looks for a certified escape (_escapes).
     """
     q = 1.0 / (gamma * gamma)
     qs = np.array([q])
     P = np.zeros((1, kern.n, kern.n))
     with np.errstate(over="ignore", invalid="ignore"):  # X and Y are tested for finiteness
-        for seg, (dt, i) in enumerate(rev_segs):
+        for seg, (dt, i) in enumerate(zip(*(a.tolist() for a in rev))):
             mode = np.array([i])
             H = (kern.H0[i] + q * kern.Hq[i])[None]
             left = dt
             tried = False
             for substeps in itertools.count(1):
                 if substeps > _SUBSTEP_BUDGET:
-                    raise _budget_error(gamma, rev_segs, seg)
+                    raise _budget_error(gamma, len(rev[0]), seg)
                 h = min(left, 0.5 * float(kern.escape_bounds(mode, qs, P)[0]))
                 if h < left and not tried:
                     tried = True
@@ -476,8 +458,8 @@ def _certify(kern, modes, q, P, H, E, dt, bound):
 _PASSED, _ESCAPED, _EXHAUSTED = 0, 1, 2
 
 
-def _riccati_rows(kern, rows):
-    """For each row (reversed segments, gamma), _riccati_feasible's outcome.
+def _riccati_rows(kern, dts, modes, gammas):
+    """For each row, a signal at a gamma, _riccati_feasible's outcome.
 
     One backward pass decides every row, whatever its signal and length.  On
     a segment with constant mode the Riccati flow is exact, [X; Y] =
@@ -495,20 +477,14 @@ def _riccati_rows(kern, rows):
     decides as the one-gamma test would; later pairs start from a chain that
     may have crossed an escape and do not count.  An object array: where the
     test would raise after _SUBSTEP_BUDGET substeps, the row holds that error.
-    A row's segments fill the pass's (segment, row) table from their arrays
-    when they are _Segments, as _reversed_segments gives them; any other
-    sequence of pairs is converted first.
+    dts and modes hold each row's signal as _reversed_segments lists it,
+    padded with (0.0, 0) to a (segment, row) table; a row ends at its last
+    positive duration.  gammas holds each row's gamma.
     """
-    lens = np.array([len(rev) for rev, _ in rows], dtype=int)
+    lens = np.logical_or.accumulate(dts[::-1] > 0.0, axis=0).sum(axis=0)
     if not lens.any():
-        return np.full(len(rows), True, dtype=object)
-    q = np.array([1.0 / (gamma * gamma) for _, gamma in rows])
-    # (segment index, row) table, padded with (0.0, 0) past a row's end
-    dts = np.zeros((lens.max(), len(rows)))
-    modes = np.zeros(dts.shape, dtype=int)
-    for r, (rev, _) in enumerate(rows):
-        rev = rev if isinstance(rev, _Segments) else _Segments(rev)
-        dts[:len(rev), r], modes[:len(rev), r] = rev.dts, rev.modes
+        return np.full(len(gammas), True, dtype=object)
+    q = 1.0 / (gammas * gammas)
     H = kern.H0[modes] + q[:, None, None] * kern.Hq[modes]
     inside = np.arange(len(dts))[:, None] < lens
     # per pair: P at the segment start, whether _certify ran, and its status
@@ -556,10 +532,10 @@ def _riccati_rows(kern, rows):
                     kern, modes[seg_of, row_of], q[row_of], Ps[hard], H[seg_of, row_of],
                     whole[seg_of, row_of], dts[seg_of, row_of], bound[hard])
     first = (status != _PASSED).argmax(axis=0)
-    outcome = status[first, np.arange(len(rows))]    # _PASSED when no pair failed
+    outcome = status[first, np.arange(len(gammas))]    # _PASSED when no pair failed
     decisions = (outcome == _PASSED).astype(object)
     for r in np.flatnonzero(outcome == _EXHAUSTED):
-        decisions[r] = _budget_error(rows[r][1], rows[r][0], first[r])
+        decisions[r] = _budget_error(gammas[r], lens[r], first[r])
     return decisions
 
 
@@ -582,8 +558,8 @@ def _bisection_points(lo, hi, tol, depth):
             + _bisection_points(mid, hi, tol, depth - 1))
 
 
-def _bisection(kern, rev_segs, tol, floor=0.0):
-    """Gain of one signal by Riccati bisection: |hi - lo| < tol * max(hi, 1).
+def _bisection(kern, rev, tol, floor=0.0):
+    """Gain of one signal rev by Riccati bisection: |hi - lo| < tol * max(hi, 1).
 
     0.0 by the zero rule.  Every gamma at or below floor fails without a test;
     the value does not depend on a floor below the gain (gain_search's failed
@@ -593,7 +569,7 @@ def _bisection(kern, rev_segs, tol, floor=0.0):
     asked for; on a shorter one, from the test of that gamma alone.
     """
     # zero rule: no input enters (every B = 0) or no output leaves (every C = 0)
-    if kern.n == 0 or kern.zero_bc[[i for _, i in rev_segs]].all(axis=0).any():
+    if kern.n == 0 or kern.zero_bc[rev[1]].all(axis=0).any():
         return 0.0
     decided = {}
 
@@ -602,13 +578,13 @@ def _bisection(kern, rev_segs, tol, floor=0.0):
         if gamma <= floor:
             return False
         if gamma not in decided:
-            if len(rev_segs) >= _SWEEP_SEGMENTS:
+            if len(rev[0]) >= _SWEEP_SEGMENTS:
                 gammas = [gamma] + [g for g in batch()
                                     if g > floor and g != gamma and g not in decided]
-                rows = [(rev_segs, g) for g in gammas]
-                decided.update(zip(gammas, _riccati_rows(kern, rows).tolist()))
+                table = (np.repeat(a[:, None], len(gammas), axis=1) for a in rev)
+                decided.update(zip(gammas, _riccati_rows(kern, *table, np.array(gammas)).tolist()))
             else:
-                decided[gamma] = _riccati_feasible(kern, rev_segs, gamma)
+                decided[gamma] = _riccati_feasible(kern, rev, gamma)
         if isinstance(decided[gamma], RuntimeError):
             raise decided[gamma]    # a look-ahead's error aborts nothing
         return decided[gamma]
@@ -787,24 +763,36 @@ def gain_power_lower(
 # search over a class
 
 
-def _candidate_signals(n_modes, T, max_switches, duration_grid):
-    """Deterministic BFS candidate enumeration, independent of the class.
+def _candidates(n_modes, T, max_switches, duration_grid, budget):
+    """The first `budget` candidates of a fixed BFS enumeration, independent
+    of the class, as one (modes, durations) table, rows right-aligned and
+    padded in front with (0, 0.0).  Level k, one table, pairs each sequence
+    of k modes without equal neighbours with each tuple of k - 1 grid
+    durations whose tail T - sum(...), the last duration, exceeds 1e-9."""
+    levels, left = [], budget
+    for k in range(1, max_switches + 2):
+        durs = (d + (T - sum(d),) for d in itertools.product(duration_grid, repeat=k - 1))
+        durs = list(itertools.islice((d for d in durs if d[-1] > 1e-9 or k == 1), left))
+        seqs = (s for s in itertools.product(range(n_modes), repeat=k)
+                if all(s[j] != s[j + 1] for j in range(k - 1)))
+        seqs = list(itertools.islice(seqs, -(-left // max(len(durs), 1))))
+        if not (durs and seqs):
+            break    # budget spent, or none here nor later (longer tuples leave less)
+        levels.append((np.repeat(np.array(seqs), len(durs), axis=0),
+                       np.tile(np.array(durs, dtype=float), (len(seqs), 1))))
+        left = max(left - len(seqs) * len(durs), 0)
+    return tuple(np.concatenate([np.pad(a, ((0, 0), (len(levels) - a.shape[1], 0)))
+                                 for a in part])[:budget] for part in zip(*levels))
 
-    Every candidate covers exactly [0, T]: the last segment takes the
-    remaining time.  Class validity is checked by the caller, so enumerations
-    with different dwell floors stay nested.
-    """
-    for i in range(n_modes):
-        yield Signal(((i, T),))
-    for k in range(2, max_switches + 2):
-        seqs = [s for s in itertools.product(range(n_modes), repeat=k)
-                if all(s[j] != s[j + 1] for j in range(k - 1))]
-        for seq in seqs:
-            for durs in itertools.product(duration_grid, repeat=k - 1):
-                tail = T - sum(durs)
-                if tail <= 1e-9:
-                    continue
-                yield Signal(tuple(zip(seq[:-1], durs)) + ((seq[-1], tail),))
+
+def _row_table(modes, durs, T, tau):
+    """(rows, dts, modes): the rows of a _candidates table valid for dwell
+    floor tau (no candidate has equal adjacent modes, so its segments are the
+    merged ones _validate_dwell compares) and their reversed (segment, row)
+    table, cut as _spans cuts their Signals (np.cumsum adds in segment order)."""
+    rows = np.flatnonzero(~((durs < _dwell_least(tau)) & (durs > 0.0)).any(axis=1))
+    dts = np.diff(np.minimum(np.cumsum(durs[rows], axis=1), T), prepend=0.0)
+    return rows, dts[:, ::-1].T, modes[rows, ::-1].T
 
 
 def gain_search(
@@ -821,15 +809,19 @@ def gain_search(
     """Lower bound on the class gain gamma_2(tau, T) by signal enumeration.
 
     Mode sequences up to max_switches >= 0 switches with durations from
-    duration_grid (one below T) are enumerated in a fixed order, cut at
-    eval_budget >= 1 and filtered for class validity, so smaller dwell floors
-    evaluate supersets (monotonicity under nested budgets); the best signal's
-    switch times are then locally refined when refine is set.
+    duration_grid (one below T) are enumerated in a fixed order as one array
+    table (_candidates), cut at eval_budget >= 1 and filtered for class
+    validity by one comparison of the table (_row_table), so smaller dwell
+    floors evaluate supersets (monotonicity under nested budgets); the best
+    signal's switch times are then locally refined when refine is set.
 
     The result is that of evaluating the candidates one at a time: each is
     probed at the best gain so far, skipped when that passes and bisected
     above it otherwise.  The probes go in chunks, one _riccati_rows pass
-    each, the chunk doubling while every probe passes.
+    each, the chunk doubling while every probe passes; when a bisection
+    raises the best, the chunk's later decisions are dropped, so each one
+    read was taken at the best of its turn.  Only a candidate that raises
+    the best is built as a Signal, for the witness.
     """
     _check_positive_finite("T", T)
     _check_positive_finite("tol", tol)
@@ -845,61 +837,53 @@ def gain_search(
     best = None
     best_sig = None
 
-    def walk(sigs):
-        """Evaluate the class-valid signals of sigs in order, raising best;
-        the index in sigs of the last one that raised it, or None."""
+    def walk(modes, durs):
+        """Raise best over a table's class-valid rows in order; the last raiser's row or None."""
         nonlocal best, best_sig
-        todo = [(k, sig, _reversed_segments(sig, T)) for k, sig in enumerate(sigs)
-                if tau == 0 or validate_membership(sig, cls).ok]
+        rows, dts, rev_modes = _row_table(modes, durs, T, tau)
         won = None
         pos, size = 0, 1
-        while pos < len(todo):
+        while pos < len(rows):
             incumbent = best
-            chunk = todo[pos:pos + size]
-            passed = (_riccati_rows(kern, [(rev, incumbent) for _, _, rev in chunk]).tolist()
+            chunk = slice(pos, pos + size)
+            passed = (_riccati_rows(kern, dts[:, chunk], rev_modes[:, chunk],
+                                    np.full(len(rows[chunk]), incumbent)).tolist()
                       if incumbent else [False])    # nothing to probe at: bisect the next
             size *= 2
-            for (k, sig, rev), ok in zip(chunk, passed):
+            for c, ok in enumerate(passed, pos):
                 pos += 1
                 if isinstance(ok, RuntimeError):
                     raise ok    # reached at the best it was probed at
                 if ok:
                     continue
                 size = 1
-                value = _bisection(kern, rev, tol, incumbent or 0.0)
+                k = np.count_nonzero(durs[rows[c]])
+                value = _bisection(kern, (dts[:k, c], rev_modes[:k, c]), tol, incumbent or 0.0)
                 if best is None or value > best:
-                    best, best_sig, won = value, sig, k
+                    best, won = value, rows[c]
+                    best_sig = Signal(tuple(zip(modes[won, -k:].tolist(), durs[won, -k:].tolist())))
                     break
         return won
 
-    walk(itertools.islice(_candidate_signals(sys.n_modes, T, max_switches, duration_grid),
-                          eval_budget))
+    walk(*_candidates(sys.n_modes, T, max_switches, duration_grid, eval_budget))
     if best is None:
         raise ValueError("evaluation budget too small: no class-valid candidate evaluated")
 
     if refine and len(best_sig.segments) > 1:
-        segs = list(best_sig.segments)
-        switch_times = np.cumsum([d for _, d in segs])[:-1]
+        modes = np.array([i for i, _ in best_sig.segments])
+        bounds = np.concatenate([[0.0], np.cumsum([d for _, d in best_sig.segments])[:-1], [T]])
         for _ in range(2):
-            for j in range(len(switch_times)):
-                lo_lim = (switch_times[j - 1] if j else 0.0) + max(tau, 1e-6)
-                nxt = switch_times[j + 1] if j + 1 < len(switch_times) else T
-                hi_lim = nxt - max(tau, 1e-6)
+            for j in range(1, len(bounds) - 1):
+                lo_lim = bounds[j - 1] + max(tau, 1e-6)
+                hi_lim = bounds[j + 1] - max(tau, 1e-6)
                 if hi_lim <= lo_lim:
                     continue
-
                 # the trials do not depend on each other's outcome
-                trials = np.linspace(lo_lim, hi_lim, 5)
-                sigs = []
-                for t_j in trials:
-                    ts = switch_times.copy()
-                    ts[j] = t_j
-                    bounds = np.concatenate([[0.0], ts, [T]])
-                    sigs.append(Signal(tuple((segs[i][0], bounds[i + 1] - bounds[i])
-                                             for i in range(len(segs)))))
-                won = walk(sigs)
+                trials = np.tile(bounds, (5, 1))
+                trials[:, j] = np.linspace(lo_lim, hi_lim, 5)
+                won = walk(np.tile(modes, (5, 1)), np.diff(trials))
                 if won is not None:
-                    switch_times[j] = trials[won]
+                    bounds[j] = trials[won, j]
     return GainEstimate(best, T, "search", tol, witness_signal=best_sig)
 
 

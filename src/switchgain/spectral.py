@@ -71,7 +71,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_durations,
-                   _check_positive_finite)
+                   _check_positive_finite, _dwell_least)
 from .flows import Trajectory, _expm_stack
 
 __all__ = [
@@ -282,7 +282,8 @@ def rho_lower(
     _check_count("max_letters", max_letters, 1)
     tau = class_tau(cls)
     grid = default_duration_grid(tau) if duration_grid is None else duration_grid
-    grid = tuple(g for g in _check_durations("duration_grid", grid) if g >= max(tau, 1e-9) - 1e-12)
+    least = _dwell_least(max(tau, 1e-9))
+    grid = tuple(g for g in _check_durations("duration_grid", grid) if g >= least)
     if not grid:
         raise ValueError("empty duration grid after applying the dwell floor")
 
@@ -836,7 +837,7 @@ def quasi_extremal_trajectory(
             duration_grid = (0.05, 0.1, 0.25, 0.5, 1.0)
     durations = sorted(set(_check_durations("duration_grid", duration_grid) +
                            tuple(d for _, d in lower_est.witness.segments
-                                 if d >= max(tau, 1e-9) - 1e-12)))
+                                 if d >= _dwell_least(max(tau, 1e-9)))))
     pairs = [(k, float(d)) for k in range(sys.n_modes) for d in durations]
     E = _expm_stack([sys.A(k) * d for k, d in pairs])
     letters = [(k, d, e) for (k, d), e in zip(pairs, E)]

@@ -20,6 +20,7 @@ Their step exponentials come from flows._expm_stack, one key at a time, and
 reference_simulate runs the step recursion as a Python loop.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -51,7 +52,8 @@ def rk_flow(sys, sig, s, t, x0, rtol=1e-10, atol=1e-12):
 def rk_riccati_feasible(sys, rev_segs, gamma):
     """Riccati escape-time test by adaptive Runge-Kutta on the full system.
 
-    rev_segs lists (duration, mode) backwards from the end of the horizon.
+    rev_segs is the (durations, modes) pair of arrays listing the segments
+    backwards from the end of the horizon (l2gain._reversed_segments).
     The backward equation -P' = A'P + PA + C'C + gamma^-2 P B B' P with
     P(T) = 0 is integrated segment by segment with RK45; the test fails as
     soon as |P| (Frobenius) reaches ESCAPE_NORM or the solver stops.
@@ -61,7 +63,7 @@ def rk_riccati_feasible(sys, rev_segs, gamma):
         return True
     inv_g2 = 1.0 / (gamma * gamma)
     p = np.zeros(n * n)
-    for dt, i in rev_segs:
+    for dt, i in zip(*rev_segs):
         A, B, C = sys.A(i), sys.B(i), sys.C(i)
         BBT = B @ B.T
         CTC = C.T @ C
@@ -113,6 +115,27 @@ def rk_gain(sys, rev_segs, tol):
     return 0.5 * (lo + hi)
 
 
+def candidate_signals(n_modes, T, max_switches, duration_grid):
+    """Deterministic BFS candidate enumeration, independent of the class.
+
+    Every candidate covers exactly [0, T]: the last segment takes the
+    remaining time.  Class validity is checked by the caller, so enumerations
+    with different dwell floors stay nested.  The generator gain_search used
+    before it enumerated candidate tables, one Signal per candidate.
+    """
+    for i in range(n_modes):
+        yield Signal(((i, T),))
+    for k in range(2, max_switches + 2):
+        seqs = [s for s in itertools.product(range(n_modes), repeat=k)
+                if all(s[j] != s[j + 1] for j in range(k - 1))]
+        for seq in seqs:
+            for durs in itertools.product(duration_grid, repeat=k - 1):
+                tail = T - sum(durs)
+                if tail <= 1e-9:
+                    continue
+                yield Signal(tuple(zip(seq[:-1], durs)) + ((seq[-1], tail),))
+
+
 def reference_gain_search(sys, cls, T, *, max_switches=4, duration_grid=None, refine=True,
                            eval_budget=160, tol=1e-4):
     """(value, witness signal) of l2gain.gain_search, one candidate at a time.
@@ -138,7 +161,7 @@ def reference_gain_search(sys, cls, T, *, max_switches=4, duration_grid=None, re
         return l2gain._bisection(kern, rev, tol, floor=best or 0.0)
 
     seen = 0
-    for sig in l2gain._candidate_signals(sys.n_modes, T, max_switches, duration_grid):
+    for sig in candidate_signals(sys.n_modes, T, max_switches, duration_grid):
         seen += 1
         if seen > eval_budget:
             break

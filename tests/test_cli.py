@@ -428,6 +428,38 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "error: segment 0: mode index must be a nonnegative integer\n"
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"n": 1.5, "m": 1, "p": 1, "modes": [{"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}]}',
+         "system dimension n must be an integer >= 0, got 1.5"),
+        ('{"n": Infinity, "m": 1, "p": 1, "modes": []}',
+         "system dimension n must be an integer >= 0, got inf"),
+        ('{"n": 1, "m": 1, "p": 1, "modes": 5}',
+         "system document: modes must be a list of objects with keys A, B and C"),
+        ('{"n": 1, "m": 1, "p": 1, "modes": [{"A": [[-1.0]], "B": [[1.0]]}]}',
+         "modes[0].C is missing"),
+    ])
+    def test_malformed_system_file(self, tmp_path, doc, message, capsys):
+        # n = 1.5 ran as n = 1 (gain 0.4421, exit 0); the others were tracebacks
+        path = tmp_path / "sys.json"
+        path.write_text(doc)
+        assert main(["gain", "--system", str(path), "--class", "arb", "--T", "1.0",
+                     "--max-switches", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"segments": [[0, null]]}', "segment 0: [0, None] is not a [mode, duration] pair"),
+        ('{"segments": 5}', "signal document: segments must be a list of [mode, duration] pairs"),
+        ('{"segments": [[0]]}', "segment 0: [0] is not a [mode, duration] pair"),
+    ])
+    def test_malformed_signal_file(self, tmp_path, scalar_system_file, doc, message, capsys):
+        path = tmp_path / "signal.json"
+        path.write_text(doc)
+        assert main(["gain", "--system", scalar_system_file, "--signal", str(path),
+                     "--T", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

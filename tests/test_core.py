@@ -67,6 +67,37 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match="malformed"):
             parse_system("{not json")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "1.5", "an integer >= 0, got 1.5"), ("n", "Infinity", "an integer >= 0, got inf"),
+        ("n", "-Infinity", "an integer >= 0"), ("n", "NaN", "an integer >= 0"),
+        ("n", "-1", "an integer >= 0"), ("n", '"1"', "an integer >= 0"),
+        ("m", "1.5", "an integer >= 1, got 1.5"), ("p", "0", "positive and finite, got 0"),
+    ])
+    def test_bad_dimension_named(self, key, value, message):
+        # 1.5 was truncated to n = 1, Infinity raised OverflowError and m = 0
+        # named no dimension
+        dims = {"n": "1", "m": "1", "p": "1", key: value}
+        text = ('{"n": %(n)s, "m": %(m)s, "p": %(p)s, '
+                '"modes": [{"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}]}' % dims)
+        with pytest.raises(ValueError, match=f"^system dimension {key} must be {message}"):
+            parse_system(text)
+
+    def test_integral_float_dimension_parses(self):
+        sysm = parse_system('{"n": 1.0, "m": 1, "p": 1.0, '
+                            '"modes": [{"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}]}')
+        assert (sysm.n, sysm.m, sysm.p) == (1, 1, 1) and type(sysm.n) is int
+
+    @pytest.mark.parametrize("modes, message", [
+        ("5", "^system document: modes must be a list of objects with keys A, B and C$"),
+        ('[{"A": [[-1.0]], "B": [[1.0]]}]', r"^modes\[0\]\.C is missing$"),
+        ("[[1.0]]", "^system document: modes must be a list of objects"),
+        ('[{"A": [[-1.0]], "B": [[1.0]], "C": {"x": 1}}]', r"^modes\[0\]\.C must be a 1x1 array"),
+    ])
+    def test_malformed_modes_named(self, modes, message):
+        # a mode without C raised KeyError, and modes = 5 a TypeError
+        with pytest.raises(ValueError, match=message):
+            parse_system('{"n": 1, "m": 1, "p": 1, "modes": %s}' % modes)
+
     def test_matrices_read_only(self):
         sysm = scalar_system()
         with pytest.raises(ValueError):
@@ -94,6 +125,21 @@ class TestSignal:
         # 1.5 was truncated to mode 1 and Infinity raised OverflowError
         with pytest.raises(ValueError, match="^segment 0: mode index must be a nonnegative integer$"):
             parse_signal('{"segments": [[%s, 1.0]]}' % index)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"segments": [[0, null]]}', r"^segment 0: \[0, None\] is not a \[mode, duration\] pair$"),
+        ('{"segments": [[0, "x"]]}', r"^segment 0: \[0, 'x'\] is not a \[mode, duration\] pair$"),
+        ('{"segments": [[0, 1.0], [0]]}', r"^segment 1: \[0\] is not a \[mode, duration\] pair$"),
+        ('{"segments": [[0, 1.0], 5]}', r"^segment 1: 5 is not a \[mode, duration\] pair$"),
+        ('{"segments": 5}', "^signal document: segments must be a list"),
+        ('{"segments": [[0, 1%s]]}' % ("0" * 400), r"^segment 0: \[0, 10+\] is not a \[mode, "),
+        ("5", "^signal document missing key 'segments'$"),
+    ])
+    def test_parse_rejects_malformed_segments(self, text, message):
+        # None and 5 raised TypeError, [0] an unpacking error naming no
+        # segment, and a duration too large for a float OverflowError
+        with pytest.raises(ValueError, match=message):
+            parse_signal(text)
 
     def test_parse_keeps_integral_float_mode_index(self):
         sig = parse_signal('{"segments": [[1.0, 2]]}')

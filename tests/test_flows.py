@@ -490,7 +490,7 @@ class TestIntervalProperty:
         new, ref = gramians(sysm, sig, s, t), reference_gramians(sysm, sig, s, t)
         np.testing.assert_array_equal(new.wc, ref.wc)
         np.testing.assert_array_equal(new.wo, ref.wo)
-        assert list(l2gain._reversed_segments(sig, t)) == [
+        assert list(zip(*l2gain._reversed_segments(sig, t))) == [
             (hi - lo, i) for lo, hi, i in reversed(clip_spans(sig, 0.0, t))]
 
 

@@ -1,9 +1,12 @@
+import itertools
 import math
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from switchgain import (
@@ -19,7 +22,7 @@ from switchgain import (
     tau_min,
     validate_membership,
 )
-from switchgain import l2gain, spectral
+from switchgain import core, l2gain, spectral
 from switchgain.gallery import (
     alpha_star,
     common_lyapunov_modes,
@@ -37,6 +40,7 @@ from switchgain.l2gain import (
 from switchgain.spectral import rho_curve
 
 from oracles import (
+    candidate_signals,
     hinf_norm,
     reference_gain_search,
     reference_power_lower,
@@ -234,11 +238,11 @@ class TestRiccatiKernelParity:
             return
         grid = [gain * (1.0 + f) for f in np.linspace(-0.1, 0.1, 41)] + [gain * 0.5, gain * 2.0]
         scalar = [_riccati_feasible(kern, rev, gamma) for gamma in grid]
-        assert _riccati_rows(kern, [(rev, g) for g in grid]).tolist() == scalar
+        assert _riccati_rows(kern, *table([(rev, g) for g in grid])).tolist() == scalar
         # the stack holds feasible and infeasible values, and each decides
         # alone as it does in the stack
         assert any(scalar) and not all(scalar)
-        assert [bool(_riccati_rows(kern, [(rev, g)])[0]) for g in grid[::8]] == scalar[::8]
+        assert [bool(_riccati_rows(kern, *table([(rev, g)]))[0]) for g in grid[::8]] == scalar[::8]
 
 
 class TestStepBoundRegressions:
@@ -286,20 +290,29 @@ class TestSweepCost:
         assert len(calls) <= 7
 
     def test_row_table_built_once(self, monkeypatch):
-        # every pass of one bisection fills its (segment, row) table from the
-        # arrays built once with the reversed segments
-        builds = []
-
-        class CountingSegments(l2gain._Segments):
-            def __new__(cls, pairs):
-                builds.append(cls)
-                return super().__new__(cls, pairs)
-
-        monkeypatch.setattr(l2gain, "_Segments", CountingSegments)
-        sysm, sig = rotated_nodes_pair(-1.0, -4.0, 1.5), alternating_nodes_signal()
-        calls = recording(monkeypatch, l2gain, "_riccati_rows")
-        gain_for_signal(sysm, sig, sig.horizon)
-        assert len(calls) >= 3 and len(builds) == 1
+        # gain_search enumerates its candidates as one (modes, durations)
+        # table and walks one (segment, row) table of it; it cuts no signal
+        # (_spans), validates none (validate_membership) and builds a Signal
+        # only when a candidate raises the best: the 102 candidates were each
+        # a Signal, validated and cut
+        candidates = recording(monkeypatch, l2gain, "_candidates")
+        tables = recording(monkeypatch, l2gain, "_row_table")
+        spans = recording(monkeypatch, l2gain, "_spans")
+        membership = recording(monkeypatch, core, "validate_membership")
+        signals = recording(monkeypatch, l2gain, "Signal")
+        values = []
+        bisection = l2gain._bisection
+        monkeypatch.setattr(l2gain, "_bisection",
+                            lambda *args: values.append(bisection(*args)) or values[-1])
+        gain_search(rotated_nodes_pair(-1.0, -4.0, 1.5), SignalClassSpec.dwell(0.25), 0.5)
+        durs = tables[0][1]
+        # rows of 1 to 5 segments, one level table each, in enumeration order
+        segments = np.count_nonzero(durs, axis=1)
+        assert np.bincount(segments).tolist() == [0, 2, 8, 20, 34, 38]
+        assert (np.diff(segments) >= 0).all() and len(durs) == 102
+        assert len(candidates) == len(tables) == 1 and spans == [] and membership == []
+        rises = sum(1 for k, v in enumerate(values) if v > max(values[:k], default=-1.0))
+        assert 1 <= len(signals) == rises < 102
 
     def test_substep_budget(self):
         # mu(A) ~ 5000 while A is stable: near gamma = 1e-9 the escape bound
@@ -308,14 +321,15 @@ class TestSweepCost:
         sysm = single_mode([[-1.0, 1e4], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
         kern = _RiccatiKernel(sysm, 1.0)
         t0 = time.monotonic()
-        error, passed = _riccati_rows(kern, [([(1.0, 0)], 1e-9), ([(1.0, 0)], 1.0)]).tolist()
+        error, passed = _riccati_rows(kern, *table([(segs((1.0, 0)), 1e-9),
+                                                    (segs((1.0, 0)), 1.0)])).tolist()
         assert time.monotonic() - t0 < 2.0
         assert isinstance(error, RuntimeError)
-        assert passed is _riccati_feasible(kern, [(1.0, 0)], 1.0)
+        assert passed is _riccati_feasible(kern, segs((1.0, 0)), 1.0)
         assert re.search(r"gamma=1e-09 .* segment 0", str(error))
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match=r"gamma=1e-09 .* segment 0"):
-            _riccati_feasible(kern, [(1.0, 0)], 1e-9)
+            _riccati_feasible(kern, segs((1.0, 0)), 1e-9)
         assert time.monotonic() - t0 < 2.0
 
 
@@ -341,10 +355,10 @@ class TestRiccatiRows:
             gain = l2gain._bisection(kern, rev, 1e-6)
             rows += [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(rev, 1e-9)]
         # rows of 1 to 5 segments and of feasible and infeasible gammas, in one pass
-        assert len({len(rev) for rev, _ in rows}) > 1
+        assert len({len(rev[0]) for rev, _ in rows}) > 1
         scalar = [_riccati_feasible(kern, rev, gamma) for rev, gamma in rows]
         assert any(scalar) and not all(scalar)
-        assert _riccati_rows(kern, rows).tolist() == scalar
+        assert _riccati_rows(kern, *table(rows)).tolist() == scalar
 
     @pytest.mark.parametrize("name", ["nodes_default", "planted3", "stiff", "b_zero"])
     def test_parity_cases(self, name):
@@ -355,9 +369,9 @@ class TestRiccatiRows:
         if kern.n == 0:
             assert gain == 0.0    # b_zero: the zero rule, no schedule
             return
-        rows = [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(rev[-1:], gain)]
-        assert _riccati_rows(kern, rows).tolist() == [_riccati_feasible(kern, r, g)
-                                                      for r, g in rows]
+        rows = [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(cut(rev, np.s_[-1:]), gain)]
+        assert _riccati_rows(kern, *table(rows)).tolist() == [_riccati_feasible(kern, r, g)
+                                                              for r, g in rows]
 
     def test_mixed_lengths(self):
         # rows of 1 to 5 segments beside rows of 200, in one pass; the long
@@ -372,11 +386,11 @@ class TestRiccatiRows:
                                  for _ in range(4)]:
             gain = l2gain._bisection(kern, rev, 1e-6)
             rows += [(rev, gain * f) for f in (0.9, 0.99, 1.01, 1.1)] + [(rev, 1e-9)]
-        assert len(long_rev) == 200 and max(len(rev) for rev, _ in rows[5:]) <= 5
-        assert not _riccati_feasible(kern, long_rev[:1], 1e-9)
+        assert len(long_rev[0]) == 200 and max(len(rev[0]) for rev, _ in rows[5:]) <= 5
+        assert not _riccati_feasible(kern, cut(long_rev, np.s_[:1]), 1e-9)
         scalar = [_riccati_feasible(kern, rev, gamma) for rev, gamma in rows]
         assert scalar[:5] == [False, False, True, True, False] and any(scalar[5:])
-        assert _riccati_rows(kern, rows).tolist() == scalar
+        assert _riccati_rows(kern, *table(rows)).tolist() == scalar
 
     def test_finished_rows_leave_the_chain(self, monkeypatch):
         # a row of 1 segment beside a row of 200: after segment 0 the chain
@@ -385,20 +399,21 @@ class TestRiccatiRows:
         kern = _RiccatiKernel(sysm, sig.horizon)
         long_rev = _reversed_segments(sig, sig.horizon)
         gain = l2gain._bisection(kern, long_rev, 1e-6)
-        rows = [(long_rev[:1], 2 * gain), (long_rev, 2 * gain)]
+        rows = [(cut(long_rev, np.s_[:1]), 2 * gain), (long_rev, 2 * gain)]
         stacks = recording(monkeypatch, l2gain, "_hamiltonian_step")
-        decisions = _riccati_rows(kern, rows).tolist()
-        assert len(long_rev) == 200 and len(stacks) == 200
+        decisions = _riccati_rows(kern, *table(rows)).tolist()
+        assert len(long_rev[0]) == 200 and len(stacks) == 200
         assert [len(E) for E, _ in stacks] == [2] + [1] * 199
         assert decisions == [True, True]
 
     def test_empty_rows_pass(self):
         sysm = rotated_nodes_pair()
         kern = _RiccatiKernel(sysm, 1.0)
-        assert _riccati_rows(kern, [([], 1.0)]).tolist() == [True]
-        assert _riccati_rows(kern, [([], 1e-9), ([(1.0, 0)], 1e-9), ([], 0.5)]).tolist() == \
-            [True, _riccati_feasible(kern, [(1.0, 0)], 1e-9), True]
-        assert _riccati_rows(kern, []).tolist() == []
+        assert _riccati_rows(kern, *table([(segs(), 1.0)])).tolist() == [True]
+        assert _riccati_rows(kern, *table([(segs(), 1e-9), (segs((1.0, 0)), 1e-9),
+                                           (segs(), 0.5)])).tolist() == \
+            [True, _riccati_feasible(kern, segs((1.0, 0)), 1e-9), True]
+        assert _riccati_rows(kern, *table([])).tolist() == []
 
     def test_substep_budget(self):
         # the system of TestSweepCost.test_substep_budget: near gamma = 1e-9
@@ -408,10 +423,10 @@ class TestRiccatiRows:
         # about 1597, so gamma = 1 fails and gamma = 2048 passes
         sysm = single_mode([[-1.0, 1e4], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
         kern = _RiccatiKernel(sysm, 1.0)
-        rev = [(0.5, 0), (0.5, 0)]
+        rev = segs((0.5, 0), (0.5, 0))
         t0 = time.monotonic()
-        failed, error, passed = _riccati_rows(kern, [(rev, 1.0), (rev, 1e-9),
-                                                     (rev, 2048.0)]).tolist()
+        failed, error, passed = _riccati_rows(kern, *table([(rev, 1.0), (rev, 1e-9),
+                                                            (rev, 2048.0)])).tolist()
         assert time.monotonic() - t0 < 2.0
         assert failed is False and passed is True and isinstance(error, RuntimeError)
         assert re.search(r"gamma=1e-09 .* segment 1", str(error))
@@ -479,6 +494,48 @@ class TestGainSearchOracle:
         assert est.witness_signal.segments == witness.segments
 
 
+@st.composite
+def enumerations(draw):
+    """(n_modes, T, max_switches, duration_grid, budget) of a candidate enumeration."""
+    T = draw(st.floats(0.1, 10.0))
+    fractions = st.one_of(st.sampled_from([0.125, 0.25, 1 / 3, 0.5, 0.75, 1.0]), st.floats(0.01, 1.0))
+    grid = tuple(T * f for f in draw(st.lists(fractions, min_size=1, max_size=4)))
+    return (draw(st.integers(1, 3)), T, draw(st.integers(0, 4)), grid, draw(st.integers(1, 200)))
+
+
+class TestCandidateTable:
+    """gain_search's candidate table against the Signal enumeration it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(enumerations())
+    # the running sum of the two durations ends 2^-52 past T: _spans clips it
+    @example((2, 1.4581805600170543, 1, (0.33076289478391663,), 10))
+    # level 2 (six rows) overshoots the five left of the budget
+    @example((2, 1.0, 3, (0.1, 0.2, 0.3), 7))
+    def test_matches_signal_enumeration(self, case):
+        n_modes, T, max_switches, grid, budget = case
+        sigs = list(itertools.islice(candidate_signals(n_modes, T, max_switches, grid), budget))
+        modes, durs = l2gain._candidates(n_modes, T, max_switches, grid, budget)
+        # the same candidates, bit for bit, in the same order and cut at the same budget
+        assert [tuple((i, d) for i, d in zip(m, ds) if d > 0.0)
+                for m, ds in zip(modes.tolist(), durs.tolist())] == [s.segments for s in sigs]
+        # every row's reversed segments are those _spans cuts from its Signal
+        rows, dts, rev_modes = l2gain._row_table(modes, durs, T, 0.0)
+        assert rows.tolist() == list(range(len(sigs)))
+        for c, sig in enumerate(sigs):
+            want_dts, want_modes = _reversed_segments(sig, T)
+            pad = np.zeros(len(dts) - len(want_dts))
+            assert dts[:, c].tobytes() == np.concatenate([want_dts, pad]).tobytes()
+            assert rev_modes[:, c].tolist() == want_modes.tolist() + [0] * len(pad)
+        # dwell validity as validate_membership decides it, on every grid
+        # duration and tail and 1e-12 around it
+        durations = sorted({d for sig in sigs for _, d in sig.segments})
+        for tau in [0.0] + [d + e for d in durations[:6] + list(grid) for e in (-1e-12, 0.0, 1e-12)]:
+            cls = SignalClassSpec.from_tau(tau)
+            assert l2gain._row_table(modes, durs, T, tau)[0].tolist() == \
+                [k for k, sig in enumerate(sigs) if validate_membership(sig, cls).ok]
+
+
 class TestRowErrors:
     """A row pass reports a substep-budget error; it is raised only where the
     one-gamma tests of the same search would meet it (no real input is known
@@ -526,8 +583,8 @@ class TestRowErrors:
             assert [exc.value] == [error for _, error in reported]
 
             def feasible_or_error(kern, rev, gamma, row=row):
-                if (tuple(rev), gamma) == row:
-                    raise l2gain._budget_error(gamma, rev, 0)
+                if (pairs(rev), gamma) == row:
+                    raise l2gain._budget_error(gamma, len(rev[0]), 0)
                 return _riccati_feasible(kern, rev, gamma)
 
             monkeypatch.setattr(l2gain, "_riccati_feasible", feasible_or_error)
@@ -559,13 +616,14 @@ class TestIncumbentCost:
             runs[-1][3].append(gamma)
             return feasible(kern, rev, gamma)
 
-        def traced_rows(kern, batch):
-            passed = rows(kern, batch)
+        def traced_rows(kern, *args):
+            passed = rows(kern, *args)
             if runs and len(runs[-1]) == 4:
-                runs[-1][3].extend(gamma for _, gamma in batch)
+                runs[-1][3].extend(args[2].tolist())
                 return passed
-            passes.append(batch)
-            probes.extend([rev, gamma, ok, best()] for (rev, gamma), ok in zip(batch, passed))
+            passes.append(args)
+            probes.extend([rev, gamma, ok, best()]
+                          for (rev, gamma), ok in zip(rows_of(*args), passed))
             return passed
 
         monkeypatch.setattr(l2gain, "_bisection", traced_bisection)
@@ -579,7 +637,7 @@ class TestIncumbentCost:
         failed = [run for run in runs if run[1]]
         assert failed
         for rev, floor, before, gammas, _ in failed:
-            assert [p[1:3] for p in probes[:before] if p[0] is rev][-1] == [floor, False]
+            assert [p[1:3] for p in probes[:before] if p[0] == pairs(rev)][-1] == [floor, False]
             assert all(g > floor for g in gammas)
         # one-gamma tests plus row passes: 268 when each bisection started
         # afresh after its incumbent probe, 218 one-gamma tests when the
@@ -596,8 +654,8 @@ class TestIncumbentCost:
         calls = recording(monkeypatch, l2gain, "_riccati_rows")
         floor = 0.9 * gain
         assert l2gain._bisection(kern, rev, 1e-4, floor).hex() == gain.hex()
-        assert calls and all(r is rev for args in calls for r, _ in args[1])
-        assert all(g > floor for args in calls for _, g in args[1])
+        assert calls and all(r == pairs(rev) for args in calls for r, _ in rows_of(*args[1:]))
+        assert all(g > floor for args in calls for g in args[3])
 
 
 class TestPowerLower:
@@ -746,28 +804,64 @@ def recording(monkeypatch, module, name):
     return calls
 
 
+def segs(*pairs):
+    """(durations, modes) arrays of reversed (duration, mode) pairs, as
+    _reversed_segments gives them."""
+    return np.array([d for d, _ in pairs], dtype=float), np.array([i for _, i in pairs], dtype=int)
+
+
+def cut(rev, part):
+    """The part (a slice) of reversed segments (durations, modes)."""
+    return tuple(a[part] for a in rev)
+
+
+def pairs(rev):
+    """Reversed segments (durations, modes) as a tuple of (duration, mode) pairs."""
+    return tuple(zip(rev[0].tolist(), rev[1].tolist()))
+
+
+def table(rows):
+    """(dts, modes, gammas) for _riccati_rows of rows (reversed segments,
+    gamma): the (segment, row) table padded with (0.0, 0)."""
+    width = max((len(rev[0]) for rev, _ in rows), default=0)
+    dts, modes = np.zeros((width, len(rows))), np.zeros((width, len(rows)), dtype=int)
+    for r, ((d, m), _) in enumerate(rows):
+        dts[:len(d), r], modes[:len(m), r] = d, m
+    return dts, modes, np.array([gamma for _, gamma in rows], dtype=float)
+
+
+def rows_of(dts, modes, gammas):
+    """The rows (reversed segments as pairs, gamma) of a _riccati_rows table;
+    a row ends at its last positive duration."""
+    out = []
+    for r, gamma in enumerate(gammas.tolist()):
+        k = max((s + 1 for s in range(len(dts)) if dts[s, r] > 0.0), default=0)
+        out.append((pairs((dts[:k, r], modes[:k, r])), gamma))
+    return out
+
+
 def row_passes(monkeypatch, run):
-    """The rows, (reversed segments as a tuple, gamma), of each _riccati_rows pass of run()."""
+    """The rows, (reversed segments as pairs, gamma), of each _riccati_rows pass of run()."""
     calls = recording(monkeypatch, l2gain, "_riccati_rows")
     run()
     monkeypatch.setattr(l2gain, "_riccati_rows", _riccati_rows)
-    return [[(tuple(rev), gamma) for rev, gamma in rows] for _, rows in calls]
+    return [rows_of(*args[1:]) for args in calls]
 
 
 def reporting_errors(monkeypatch, at):
     """Make _riccati_rows report a substep-budget error in each row listed in at.
 
-    Rows are (reversed segments as a tuple, gamma); returns the list of
+    Rows are (reversed segments as pairs, gamma); returns the list of
     (row, error) reported, filled as the passes run.
     """
     reported = []
 
-    def rows_with_errors(kern, rows):
-        decisions = _riccati_rows(kern, rows)
-        for r, (rev, gamma) in enumerate(rows):
-            if (tuple(rev), gamma) in at:
-                decisions[r] = l2gain._budget_error(gamma, rev, 0)
-                reported.append(((tuple(rev), gamma), decisions[r]))
+    def rows_with_errors(kern, *args):
+        decisions = _riccati_rows(kern, *args)
+        for r, (rev, gamma) in enumerate(rows_of(*args)):
+            if (rev, gamma) in at:
+                decisions[r] = l2gain._budget_error(gamma, len(rev), 0)
+                reported.append(((rev, gamma), decisions[r]))
         return decisions
 
     monkeypatch.setattr(l2gain, "_riccati_rows", rows_with_errors)
@@ -876,7 +970,7 @@ class TestZeroGainRule:
         assert est.value == float.fromhex(value)
         assert est.witness_signal.segments == witness
         assert len(calls) <= 15
-        gammas = [args[2] for args in calls] + [g for _, rows in passes for _, g in rows]
+        gammas = [args[2] for args in calls] + [g for args in passes for g in args[3]]
         assert min(gammas) > 2.0 ** -40
 
 
