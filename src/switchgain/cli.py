@@ -2,7 +2,9 @@
 
 All reports are UTF-8 JSON (sorted keys) or CSV; a fixed --seed makes runs
 byte-identical.  Exit codes: 0 success, 1 error (usage errors included), 2
-mathematically undetermined outcome (a rho bracket straddling 1).
+mathematically undetermined outcome: an undetermined finiteness verdict,
+whose rationale names its reasons (straddles, uncertified,
+unit_unobservable), or a taumin result flagged undecided_zone.
 """
 
 from __future__ import annotations

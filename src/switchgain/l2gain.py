@@ -139,12 +139,14 @@ class FinitenessVerdict:
     uniform_obs: ObservabilityReport | None
     rationale: str
     minimal_dim: int
+    reasons: tuple[str, ...] = ()     # why undetermined, as _verdict lists them; () if decided
 
 
 @dataclass(frozen=True, eq=False)
 class TauMinResult:
-    tau_reject: float                 # rho >= 1 certified (or bracket floor)
-    tau_accept: float                 # rho < 1 certified
+    tau_reject: float                 # rho lower bound > 1, or 0.0 under a bracket flag
+    tau_accept: float                 # certified rho upper bound < 1, or tau_lo when
+                                      # flagged bracket_lo_not_rejected
     flags: tuple[str, ...] = ()
 
     @property
@@ -894,6 +896,54 @@ def gain_search(
 _UNIT_TOL = 1e-9
 
 
+def _verdict(est: RhoEstimate, obs: ObservabilityReport | None = None):
+    """The paper's finiteness rule on rho bounds: (verdict, reasons, rationale).
+
+    est is rho_upper's estimate, or rho_lower's (upper inf, flag lower_only,
+    never certified); obs is the uniform-observability report of the minimal
+    realization, or None when it was not checked.
+
+    - finite: a certified upper bound below 1.
+    - infinite: lower > 1, or lower >= 1 - _UNIT_TOL with obs uniformly
+      observable.
+    - undetermined: anything else.  reasons lists every one that holds, in
+      this order: straddles (lower <= 1 <= upper); uncertified (the upper
+      bound is not certified; the rationale quotes its flags); and
+      unit_unobservable (lower within _UNIT_TOL of 1, and uniform
+      observability not shown: not checked, inconclusive or not observable).
+
+    reasons is () for a decided verdict, and the rationale names each reason.
+    Nothing else in this module compares rho bounds with 1.
+    """
+    lower, upper = est.lower, est.upper
+    obs_text = obs and {
+        "uniformly_observable": "minimal realization is uniformly observable",
+        "not_uniformly_observable": "minimal realization is not uniformly observable",
+        "inconclusive": "uniform observability is inconclusive",
+    }[obs.verdict]
+    if upper < 1.0 and est.certified:
+        return "finite", (), f"certified rho upper bound {upper:.6f} < 1"
+    if lower > 1.0:
+        return "infinite", (), f"rho lower bound {lower:.6f} > 1"
+    unit = lower >= 1.0 - _UNIT_TOL
+    if unit and obs is not None and obs.verdict == "uniformly_observable":
+        return ("infinite", (),
+                f"rho lower bound {lower:.6f} >= 1 - {_UNIT_TOL:g} and the {obs_text}")
+    clauses = {}
+    if upper >= 1.0:
+        clauses["straddles"] = f"rho bracket [{lower:.6f}, {upper:.6f}] contains 1"
+    if not est.certified:
+        clauses["uncertified"] = (f"rho upper bound {upper:.6f} is not certified "
+                                  f"(flags {', '.join(est.flags)})")
+    if unit:
+        clauses["unit_unobservable"] = (f"rho lower bound {lower:.6f} >= 1 - {_UNIT_TOL:g} "
+                                        "without uniform observability")
+    rationale = "; ".join(f"{reason}: {text}" for reason, text in clauses.items())
+    if obs is not None:
+        rationale += f"; the {obs_text}"
+    return "undetermined", tuple(clauses), rationale
+
+
 def finiteness_test(
     sys: SystemSpec,
     cls: SignalClassSpec,
@@ -904,12 +954,24 @@ def finiteness_test(
     """Gain-finiteness trichotomy from the minimal realization's rho bounds.
 
     The bounds come from rho_lower at its defaults and rho_upper with
-    upper_opts.  finite requires a certified upper bound below one; infinite
-    requires the rigorous lower bound above one, or within _UNIT_TOL of one
-    combined with certified uniform observability (12 sampled signals of
-    horizon max(1, 2 tau), drawn from seed).  Anything else is undetermined;
-    without uniform observability a unit spectral radius genuinely leaves
-    both outcomes open.
+    upper_opts, and uniform observability from 12 sampled signals of horizon
+    max(1, 2 tau), drawn from seed.  _verdict decides, and names the reasons
+    of an undetermined verdict; without uniform observability a unit
+    spectral radius leaves both outcomes open.  An uncertified upper bound
+    is reported with its flags: it is the first, tightest eps attempt's mu_c
+    times the grid inflation, and it bounds nothing.
+
+    The lower bound is not rigorous in its last bits: rho_lower reports up
+    to 183 ulps above the exact rate e^beta on common_lyapunov_modes
+    (ROADMAP item 2), so a verdict decided by a margin that small is not
+    proven.
+
+    Unlike tau_min, an undetermined verdict is not retried with half the
+    grid step and twice the budget.  On planted_reducible_system(2, 1, 1, 2,
+    1, 1, seed=9) at dwell 0.5 that attempt took 0.42 s, against 0.15 s for
+    the whole finiteness_test (medians of 5, 2-vCPU Xeon), and it still
+    ended budget_exhausted with upper 0.771.  tau_min needs its retry to
+    accept some taus (1.15 on rotated_nodes_pair at delta 0.002).
     """
     tau = cls.dwell_floor
     minreal = minimal_realization(sys)
@@ -922,37 +984,8 @@ def finiteness_test(
     est = rho_upper(ms, cls, lower_estimate=rho_lower(ms, cls), **(upper_opts or {}))
     window = max(1.0, 2.0 * tau)
     obs = check_uniform_observability(ms, cls, window, samples=12, seed=seed)
-
-    obs_text = {
-        "uniformly_observable": "minimal realization is uniformly observable",
-        "not_uniformly_observable": "minimal realization is not uniformly observable",
-        "inconclusive": "uniform observability is inconclusive",
-    }[obs.verdict]
-
-    if est.upper < 1.0 and est.certified:
-        verdict = "finite"
-        rationale = f"certified rho upper bound {est.upper:.6f} < 1"
-    elif est.lower > 1.0:
-        verdict = "infinite"
-        rationale = f"rho lower bound {est.lower:.6f} > 1"
-    elif est.lower >= 1.0 - _UNIT_TOL and obs.verdict == "uniformly_observable":
-        verdict = "infinite"
-        rationale = (f"rho lower bound {est.lower:.6f} >= 1 - {_UNIT_TOL:g} and the "
-                     f"{obs_text}")
-    else:
-        verdict = "undetermined"
-        rationale = (f"rho bracket [{est.lower:.6f}, {est.upper:.6f}] straddles 1 "
-                     f"and the {obs_text}")
-    return FinitenessVerdict(verdict, est, obs, rationale, minreal.dim)
-
-
-def _classify_tau(ms, cls, lower_est, upper_opts):
-    if lower_est.lower >= 1.0:
-        return "reject"
-    est = rho_upper(ms, cls, lower_estimate=lower_est, **(upper_opts or {}))
-    if est.upper < 1.0 and est.certified:
-        return "accept"
-    return "undecided"
+    verdict, reasons, rationale = _verdict(est, obs)
+    return FinitenessVerdict(verdict, est, obs, rationale, minreal.dim, reasons)
 
 
 def tau_min(
@@ -964,14 +997,19 @@ def tau_min(
 ) -> TauMinResult:
     """Bracket the minimal dwell time via bisection on the rho trichotomy.
 
-    Each tau is classified from rho_lower at its defaults and rho_upper with
-    upper_opts.  Requires finite 0 <= tau_lo < tau_hi, rho(tau_lo) >= 1
-    (reject side) and a certified rho(tau_hi) < 1 (accept side).  An undecided tau is retried once with
-    half the grid step delta and twice the budget (those of upper_opts, or
-    certification_grid's defaults); undecided midpoints then fall back to
-    quarter-point probing, and a persistent undecided zone returns the wider
-    interval with an 'undecided_zone' flag.  The bisection stops at width
-    tol (positive and finite) or after 60 steps.
+    Each tau is classified by _verdict, without an observability report,
+    from rho_lower at its defaults and, unless that lower bound alone
+    decides infinite, rho_upper with upper_opts: infinite rejects tau,
+    finite accepts it.  An undetermined tau is retried once with half the
+    grid step delta and twice the budget (those of upper_opts, or
+    certification_grid's defaults).  Requires finite 0 <= tau_lo < tau_hi
+    (tol positive and finite).  When tau_lo is not rejected, the result is
+    (0, 0) flagged tau_min_zero if the arbitrary class is accepted, else
+    (0, tau_lo) flagged bracket_lo_not_rejected; a tau_hi that is not
+    accepted raises ValueError.  Undetermined midpoints fall back to
+    quarter-point probing, and a persistent undetermined zone returns the
+    wider interval with an 'undecided_zone' flag.  The bisection stops at
+    width tol or after 60 steps.
     """
     tau_lo, tau_hi = float(bracket[0]), float(bracket[1])
     for name, value in (("tau_lo", tau_lo), ("tau_hi", tau_hi)):
@@ -990,26 +1028,28 @@ def tau_min(
         # the boosted retry changes only the upper bound's options, so it
         # reuses the lower estimate
         lower_est = rho_lower(ms, cls)
-        verdict = _classify_tau(ms, cls, lower_est, upper_opts)
-        if verdict == "undecided":
+        verdict = _verdict(lower_est)[0]
+        opts = upper_opts or {}
+        if verdict == "undetermined":
+            verdict = _verdict(rho_upper(ms, cls, lower_estimate=lower_est, **opts))[0]
+        if verdict == "undetermined":
             # halve the grid step (shrinks the inflation dead band) and
             # double the certification budget
-            opts = upper_opts or {}
             delta, _, budget = certification_grid(tau, opts.get("delta"),
                                                   budget=opts.get("budget"))
-            verdict = _classify_tau(ms, cls, lower_est,
-                                    {**opts, "delta": delta / 2.0, "budget": 2 * budget})
+            verdict = _verdict(rho_upper(ms, cls, lower_estimate=lower_est,
+                                         **{**opts, "delta": delta / 2.0,
+                                            "budget": 2 * budget}))[0]
         return verdict
 
-    lo_verdict = classify(tau_lo)
-    if lo_verdict != "reject":
-        if classify(0.0) == "accept":
+    if classify(tau_lo) != "infinite":
+        if classify(0.0) == "finite":
             return TauMinResult(0.0, 0.0, flags=("tau_min_zero",))
         return TauMinResult(0.0, tau_lo, flags=("bracket_lo_not_rejected",))
     hi_verdict = classify(tau_hi)
-    if hi_verdict == "reject":
-        raise ValueError("invalid bracket: rho(tau_hi) >= 1")
-    if hi_verdict == "undecided":
+    if hi_verdict == "infinite":
+        raise ValueError("invalid bracket: rho(tau_hi) > 1")
+    if hi_verdict == "undetermined":
         raise ValueError("bracket upper end undecidable at the available budget")
 
     lo, hi = tau_lo, tau_hi
@@ -1019,18 +1059,18 @@ def tau_min(
             break
         mid = 0.5 * (lo + hi)
         verdict = classify(mid)
-        if verdict == "reject":
+        if verdict == "infinite":
             lo = mid
-        elif verdict == "accept":
+        elif verdict == "finite":
             hi = mid
         else:
             progressed = False
             q1 = lo + 0.25 * (hi - lo)
-            if classify(q1) == "reject":
+            if classify(q1) == "infinite":
                 lo = q1
                 progressed = True
             q3 = lo + 0.75 * (hi - lo)
-            if classify(q3) == "accept":
+            if classify(q3) == "finite":
                 hi = q3
                 progressed = True
             if not progressed:

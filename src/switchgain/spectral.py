@@ -3,8 +3,12 @@
 Lower bounds come from periodic words, that is finite signals repeated: every
 signal whose segments (including the first and last one) respect the class
 minimum dwell repeats into a class-valid signal, so
-spectral_radius(flow)^(1/horizon) is a rigorous lower bound, and
-single-segment signals give e^(spectral abscissa) exactly.  Upper bounds come
+spectral_radius(flow)^(1/horizon) is a lower bound, and single-segment
+signals give e^(spectral abscissa).  The computed bound is not rigorous in
+its last bits: on common_lyapunov_modes it lies up to 183 ulps above the
+exact rate e^beta, since the golden refinement keeps the largest of many
+rounded evaluations of a flat rate and eigvals carries no error bound
+(ROADMAP item 2).  Upper bounds come
 from a polytope-norm certificate: a finite set of scaled semigroup products
 defines v(x) = max(|x|, max_j |S_j x|); once every letter of a duration grid
 contracts v at rate mu_c per unit time, so does every product of letters.
@@ -271,7 +275,9 @@ def rho_lower(
     max_letters: int = 4,
     duration_grid=None,
 ) -> RhoEstimate:
-    """Rigorous lower bound on the constrained generalized spectral radius.
+    """Lower bound on the constrained generalized spectral radius, up to
+    rounding: up to 183 ulps above the exact rate on common_lyapunov_modes
+    (ROADMAP item 2).
 
     Maximizes over (a) single-mode candidates e^(abscissa) and (b) periodic
     words with grid durations, coordinate-descent over the grid and then a
@@ -711,8 +717,9 @@ def rho_upper(
     reports mu_c * exp(a_max * delta), a_max the largest mode norm.  The
     first attempt whose estimate is certified (RhoEstimate.certified) is
     returned, eps doubling from one attempt to the next, _EPS_ATTEMPTS in
-    all; if none is, the first, tightest one and the flags that say why.
-    delta, cap and budget default as certification_grid says.
+    all; if none is, the first, tightest one and the flags that say why (its
+    upper is then that attempt's mu_c times the inflation, and it bounds
+    nothing).  delta, cap and budget default as certification_grid says.
     """
     _check_positive_finite("eps", eps)
     tau = class_tau(cls, for_upper=True)

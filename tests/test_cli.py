@@ -324,10 +324,13 @@ class TestTauMinCommand:
 
     def test_undecided_zone_exits_two(self, tmp_path, monkeypatch):
         # every tau in (1.0, 1.5) undecided: the bisection stops with the flag
-        def classify(ms, cls, lower_est, upper_opts):
-            return "reject" if cls.tau <= 1.0 else "accept" if cls.tau >= 1.5 else "undecided"
+        def rule(est, obs=None):
+            return ("infinite" if est.tau <= 1.0 else "finite" if est.tau >= 1.5
+                    else "undetermined"), (), ""
 
-        monkeypatch.setattr(l2gain, "_classify_tau", classify)
+        monkeypatch.setattr(l2gain, "_verdict", rule)
+        monkeypatch.setattr(l2gain, "rho_upper", lambda ms, cls, lower_estimate, **opts:
+                            lower_estimate)
         path = tmp_path / "nodes.json"
         path.write_text(serialize_system(rotated_nodes_pair()))
         out = tmp_path / "taumin.json"

@@ -22,7 +22,7 @@ from switchgain import (
     tau_min,
     validate_membership,
 )
-from switchgain import core, l2gain, spectral
+from switchgain import core, l2gain
 from switchgain.gallery import (
     alpha_star,
     common_lyapunov_modes,
@@ -55,6 +55,14 @@ ARB = SignalClassSpec.arbitrary()
 def single_mode(A, B, C):
     A, B, C = np.atleast_2d(A), np.atleast_2d(B), np.atleast_2d(C)
     return SystemSpec(A.shape[0], B.shape[1], C.shape[0], (Mode(A, B, C),))
+
+
+def integrator_pair():
+    """A = 0 in both modes; mode k drives and observes only e_k.  Minimal,
+    rho = 1 exactly, and never uniformly observable (a signal may stay in
+    one mode)."""
+    e = np.eye(2)
+    return SystemSpec(2, 1, 1, tuple(Mode(np.zeros((2, 2)), e[:, [k]], e[[k]]) for k in range(2)))
 
 
 def random_stable(rng, n=3):
@@ -1092,18 +1100,45 @@ class TestMinimalRealizationGainInvariance:
                 assert g1 == pytest.approx(g2, abs=1e-6 * max(1.0, g1))
 
 
+REASONS = ("straddles", "uncertified", "unit_unobservable")
+
+
+def named_reasons(rationale):
+    return tuple(r for r in REASONS if r in rationale)
+
+
 class TestFiniteness:
     def test_cqlf_finite(self):
         sysm = common_lyapunov_modes(-0.4, (1.0, 2.2))
         verdict = finiteness_test(sysm, SignalClassSpec.dwell(0.5),
                                   upper_opts={"eps": 0.002, "delta": 0.002})
         assert verdict.verdict == "finite"
+        assert verdict.reasons == named_reasons(verdict.rationale) == ()
 
     def test_example_unstable_side_infinite(self):
         sysm = example_system(6.0)
         verdict = finiteness_test(sysm, ARB)
         assert verdict.verdict == "infinite"
         assert verdict.rho_min_realization.lower > 1.0
+        assert verdict.reasons == named_reasons(verdict.rationale) == ()
+
+    @pytest.mark.parametrize("make, cls, upper_opts, reasons", [
+        # the bracket [0.732, 0.808] lies below 1, but the certifier's budget
+        # runs out: the upper bound bounds nothing
+        (lambda: planted_reducible_system(2, 1, 1, 2, 1, 1, seed=9)[0],
+         SignalClassSpec.dwell(0.5), None, ("uncertified",)),
+        # the README example just below alpha*: bracket [0.999996, 1.053437]
+        (lambda: example_system(4.504679), ARB, {"delta": 0.01, "budget": 150},
+         ("straddles", "uncertified")),
+        # certified bracket [1, 1.005], and rho = 1 without uniform observability
+        (integrator_pair, SignalClassSpec.dwell(1.0), None,
+         ("straddles", "unit_unobservable")),
+    ], ids=["planted9", "example_marginal", "integrator_pair"])
+    def test_undetermined_reasons(self, make, cls, upper_opts, reasons):
+        verdict = finiteness_test(make(), cls, upper_opts=upper_opts)
+        assert verdict.verdict == "undetermined"
+        assert verdict.reasons == reasons
+        assert named_reasons(verdict.rationale) == reasons
 
     def test_example_marginal_undetermined(self):
         astar = alpha_star(1e-6)
@@ -1118,6 +1153,7 @@ class TestFiniteness:
         sysm = single_mode([[-1.0]], [[1.0]], [[0.0]])
         verdict = finiteness_test(sysm, SignalClassSpec.dwell(0.5))
         assert verdict.verdict == "finite"
+        assert verdict.reasons == ()
 
     def test_infinite_via_uniform_observability(self):
         # marginal single mode (integrator with observation): rho == 1 exactly
@@ -1125,6 +1161,7 @@ class TestFiniteness:
         verdict = finiteness_test(sysm, SignalClassSpec.dwell(1.0))
         assert verdict.verdict == "infinite"
         assert "uniformly observable" in verdict.rationale
+        assert verdict.reasons == named_reasons(verdict.rationale) == ()
 
     def test_unsupported_class(self):
         sysm = single_mode([[-1.0]], [[1.0]], [[1.0]])
@@ -1213,17 +1250,51 @@ class TestTauMin:
         assert res.flags == ("bracket_lo_not_rejected",)
 
     def test_undecided_zone(self, monkeypatch):
-        def classify(ms, cls, lower_est, upper_opts):
-            tau = spectral.class_tau(cls)
-            return "reject" if tau <= 1.0 else "accept" if tau >= 1.5 else "undecided"
+        def rule(est, obs=None):
+            return ("infinite" if est.tau <= 1.0 else "finite" if est.tau >= 1.5
+                    else "undetermined"), (), ""
 
-        monkeypatch.setattr(l2gain, "_classify_tau", classify)
+        monkeypatch.setattr(l2gain, "_verdict", rule)
+        # the stub rule reads tau alone: no certification is needed
+        monkeypatch.setattr(l2gain, "rho_upper", lambda ms, cls, lower_estimate, **opts:
+                            lower_estimate)
         res = tau_min(rotated_nodes_pair(), (0.6, 2.0))
         # mid 1.3 undecided: quarter points 0.95 (reject) and 1.7375 (accept);
         # mid 1.34 undecided: 1.15 undecided, 1.54 accept; mid 1.25 and its
         # quarter points 1.10 and 1.39 undecided: no progress
         assert (res.tau_reject, res.tau_accept) == (0.95, 1.540625)
         assert res.flags == ("undecided_zone",)
+
+    @pytest.mark.parametrize("sysm, bracket, verdicts", [
+        (common_lyapunov_modes(-0.3, (1.0, 2.0)), (0.5, 2.0), {"finite"}),
+        (single_mode([[0.2]], [[1.0]], [[1.0]]), (0.5, 3.0), {"infinite"}),
+        # rho = 1 at every tau, never uniformly observable
+        (integrator_pair(), (0.5, 2.0), {"undetermined"}),
+    ], ids=["cqlf", "unstable", "integrator_pair"])
+    def test_classification_agrees_with_finiteness_test(self, monkeypatch, sysm, bracket,
+                                                        verdicts):
+        rule, calls = l2gain._verdict, []
+
+        def recorded(est, obs=None):
+            out = rule(est, obs)
+            calls.append((est, out[0]))
+            return out
+
+        monkeypatch.setattr(l2gain, "_verdict", recorded)
+        try:
+            tau_min(sysm, bracket, 0.1)
+        except ValueError as exc:
+            assert "bracket" in str(exc)
+        monkeypatch.undo()
+        # a classification opens with rho_lower's estimate, whose verdict
+        # stands when infinite; else the first rho_upper estimate's does
+        # (the boosted retry's comes after it)
+        before_retry = {est.tau: verdict if verdict == "infinite" else calls[k + 1][1]
+                        for k, (est, verdict) in enumerate(calls)
+                        if "lower_only" in est.flags}
+        assert set(before_retry.values()) == verdicts
+        for tau, verdict in before_retry.items():
+            assert finiteness_test(sysm, SignalClassSpec.from_tau(tau)).verdict == verdict
 
     def test_nodes_pair_bracket(self):
         sysm = rotated_nodes_pair()
