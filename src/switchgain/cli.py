@@ -4,7 +4,8 @@ All reports are UTF-8 JSON (sorted keys) or CSV; a fixed --seed makes runs
 byte-identical.  Exit codes: 0 success, 1 error (usage errors included), 2
 mathematically undetermined outcome: an undetermined finiteness verdict,
 whose rationale names its reasons (straddles, uncertified,
-unit_unobservable), or a taumin result flagged undecided_zone.
+unit_unobservable), or a taumin result flagged undecided_zone or
+bracket_lo_not_rejected (tau_lo was not rejected).
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def _run_taumin(args):
         "flags": list(res.flags),
     }
     _emit(_json(doc), args.out)
-    return 2 if "undecided_zone" in res.flags else 0
+    return 2 if {"undecided_zone", "bracket_lo_not_rejected"} & set(res.flags) else 0
 
 
 def _run_finiteness(args):

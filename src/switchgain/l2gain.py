@@ -144,9 +144,10 @@ class FinitenessVerdict:
 
 @dataclass(frozen=True, eq=False)
 class TauMinResult:
-    tau_reject: float                 # rho lower bound > 1, or 0.0 under a bracket flag
+    tau_reject: float                 # gain proven infinite, or 0.0 under a bracket flag
     tau_accept: float                 # certified rho upper bound < 1, or tau_lo when
-                                      # flagged bracket_lo_not_rejected
+                                      # flagged bracket_lo_not_rejected (then proven
+                                      # only if tau_lo was accepted)
     flags: tuple[str, ...] = ()
 
     @property
@@ -944,6 +945,12 @@ def _verdict(est: RhoEstimate, obs: ObservabilityReport | None = None):
     return "undetermined", tuple(clauses), rationale
 
 
+def _uniform_observability(ms: SystemSpec, cls: SignalClassSpec, seed: int = 0):
+    """The report _verdict reads: 12 sampled signals of horizon max(1, 2 tau)."""
+    return check_uniform_observability(ms, cls, max(1.0, 2.0 * cls.dwell_floor),
+                                       samples=12, seed=seed)
+
+
 def finiteness_test(
     sys: SystemSpec,
     cls: SignalClassSpec,
@@ -982,8 +989,7 @@ def finiteness_test(
                                  "minimal realization is zero-dimensional; the gain is 0", 0)
     ms = minreal.sys_min
     est = rho_upper(ms, cls, lower_estimate=rho_lower(ms, cls), **(upper_opts or {}))
-    window = max(1.0, 2.0 * tau)
-    obs = check_uniform_observability(ms, cls, window, samples=12, seed=seed)
+    obs = _uniform_observability(ms, cls, seed)
     verdict, reasons, rationale = _verdict(est, obs)
     return FinitenessVerdict(verdict, est, obs, rationale, minreal.dim, reasons)
 
@@ -997,16 +1003,19 @@ def tau_min(
 ) -> TauMinResult:
     """Bracket the minimal dwell time via bisection on the rho trichotomy.
 
-    Each tau is classified by _verdict, without an observability report,
-    from rho_lower at its defaults and, unless that lower bound alone
-    decides infinite, rho_upper with upper_opts: infinite rejects tau,
-    finite accepts it.  An undetermined tau is retried once with half the
-    grid step delta and twice the budget (those of upper_opts, or
-    certification_grid's defaults).  Requires finite 0 <= tau_lo < tau_hi
-    (tol positive and finite).  When tau_lo is not rejected, the result is
-    (0, 0) flagged tau_min_zero if the arbitrary class is accepted, else
-    (0, tau_lo) flagged bracket_lo_not_rejected; a tau_hi that is not
-    accepted raises ValueError.  Undetermined midpoints fall back to
+    Each tau is classified by _verdict from rho_lower at its defaults and,
+    unless that lower bound alone decides infinite, rho_upper with
+    upper_opts: infinite rejects tau, finite accepts it.  A lower bound
+    within _UNIT_TOL of 1 is read with finiteness_test's uniform-observability
+    report (seed 0), so both give one verdict at every tau.  An undetermined
+    tau is retried once with half the grid step delta and twice the budget
+    (those of upper_opts, or certification_grid's defaults).  Requires
+    finite 0 <= tau_lo < tau_hi (tol positive and finite).  When tau_lo is
+    not rejected, the result is (0, 0) flagged tau_min_zero if the arbitrary
+    class is accepted, else (0, tau_lo) flagged bracket_lo_not_rejected: that
+    upper end is proven only if tau_lo was accepted, and an undetermined
+    tau_lo leaves it unproven.  A tau_hi that is not accepted raises
+    ValueError.  Undetermined midpoints fall back to
     quarter-point probing, and a persistent undetermined zone returns the
     wider interval with an 'undecided_zone' flag.  The bisection stops at
     width tol or after 60 steps.
@@ -1028,10 +1037,16 @@ def tau_min(
         # the boosted retry changes only the upper bound's options, so it
         # reuses the lower estimate
         lower_est = rho_lower(ms, cls)
-        verdict = _verdict(lower_est)[0]
+        verdict, reasons, _ = _verdict(lower_est)
+        obs = None
+        if "unit_unobservable" in reasons:
+            # a unit lower bound: uniform observability decides, as in
+            # finiteness_test (the rho_upper estimates keep this lower bound)
+            obs = _uniform_observability(ms, cls)
+            verdict = _verdict(lower_est, obs)[0]
         opts = upper_opts or {}
         if verdict == "undetermined":
-            verdict = _verdict(rho_upper(ms, cls, lower_estimate=lower_est, **opts))[0]
+            verdict = _verdict(rho_upper(ms, cls, lower_estimate=lower_est, **opts), obs)[0]
         if verdict == "undetermined":
             # halve the grid step (shrinks the inflation dead band) and
             # double the certification budget
@@ -1039,7 +1054,7 @@ def tau_min(
                                                   budget=opts.get("budget"))
             verdict = _verdict(rho_upper(ms, cls, lower_estimate=lower_est,
                                          **{**opts, "delta": delta / 2.0,
-                                            "budget": 2 * budget}))[0]
+                                            "budget": 2 * budget}), obs)[0]
         return verdict
 
     if classify(tau_lo) != "infinite":
@@ -1048,7 +1063,7 @@ def tau_min(
         return TauMinResult(0.0, tau_lo, flags=("bracket_lo_not_rejected",))
     hi_verdict = classify(tau_hi)
     if hi_verdict == "infinite":
-        raise ValueError("invalid bracket: rho(tau_hi) > 1")
+        raise ValueError("invalid bracket: the gain is infinite at tau_hi")
     if hi_verdict == "undetermined":
         raise ValueError("bracket upper end undecidable at the available budget")
 

@@ -341,6 +341,21 @@ class TestTauMinCommand:
         assert doc["flags"] == ["undecided_zone"]
         assert doc["tau_reject"] <= 1.0 and doc["tau_accept"] >= 1.5
 
+    def test_bracket_lo_not_rejected_exits_two(self, tmp_path):
+        # A = 0; mode k drives and observes only e_k: rho = 1 at every tau,
+        # never uniformly observable, so no tau is rejected
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "p": 1, "modes": [
+            {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]},
+            {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]], "C": [[0.0, 1.0]]}]}))
+        out = tmp_path / "taumin.json"
+        code = main(["taumin", "--system", str(path), "--tau-lo", "0.5", "--tau-hi", "2.0",
+                     "--out", str(out)])
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["flags"] == ["bracket_lo_not_rejected"]
+        assert (doc["tau_reject"], doc["tau_accept"]) == (0.0, 0.5)
+
 
 class TestMinreal:
     def test_report_schema(self, tmp_path):
