@@ -86,7 +86,7 @@ from scipy.linalg import expm
 from .core import (Signal, SignalClassSpec, SystemSpec, _check_count, _check_durations,
                    _check_positive_finite, _dwell_least)
 from .flows import _expm_stack, _gram_block, _spans, _step_solver, _zoh_grid
-from .realization import ObservabilityReport, check_uniform_observability, minimal_realization
+from .realization import ObservabilityReport, _observability_rule, minimal_realization
 from .spectral import RhoEstimate, certification_grid, rho_lower, rho_upper
 
 __all__ = [
@@ -145,9 +145,8 @@ class FinitenessVerdict:
 @dataclass(frozen=True, eq=False)
 class TauMinResult:
     tau_reject: float                 # gain proven infinite, or 0.0 under a bracket flag
-    tau_accept: float                 # certified rho upper bound < 1, or tau_lo when
-                                      # flagged bracket_lo_not_rejected (then proven
-                                      # only if tau_lo was accepted)
+    tau_accept: float                 # certified rho upper bound < 1 (tau_lo when
+                                      # flagged bracket_lo_not_rejected)
     flags: tuple[str, ...] = ()
 
     @property
@@ -639,10 +638,11 @@ def gain_for_signal(
 ) -> GainEstimate:
     """Finite-horizon L2-gain of one signal via Riccati bisection.
 
-    Bisection tolerance is relative: |hi - lo| < tol * max(hi, 1), with a
-    finite tol > 0 and T in (0, sig.horizon].  With compute_witness, a power
-    iteration on the grid of step T / 400 attaches a witness input and its
-    energy ratio (none for a zero gain: no input of the signal reaches an output).
+    Bisection stops at |hi - lo| < tol * max(hi, 1), with a finite tol > 0
+    and T in (0, sig.horizon]: relative above a gain of 1, absolute below it
+    (ROADMAP item 9).  With compute_witness, a power iteration on the grid of
+    step T / 400 attaches a witness input and its energy ratio (none for a
+    zero gain: no input of the signal reaches an output).
     """
     _check_positive_finite("tol", tol)
     _check_horizon(sig, T)
@@ -945,28 +945,21 @@ def _verdict(est: RhoEstimate, obs: ObservabilityReport | None = None):
     return "undetermined", tuple(clauses), rationale
 
 
-def _uniform_observability(ms: SystemSpec, cls: SignalClassSpec, seed: int = 0):
-    """The report _verdict reads: 12 sampled signals of horizon max(1, 2 tau)."""
-    return check_uniform_observability(ms, cls, max(1.0, 2.0 * cls.dwell_floor),
-                                       samples=12, seed=seed)
-
-
 def finiteness_test(
     sys: SystemSpec,
     cls: SignalClassSpec,
     *,
     upper_opts: dict | None = None,
-    seed: int = 0,
 ) -> FinitenessVerdict:
     """Gain-finiteness trichotomy from the minimal realization's rho bounds.
 
     The bounds come from rho_lower at its defaults and rho_upper with
-    upper_opts, and uniform observability from 12 sampled signals of horizon
-    max(1, 2 tau), drawn from seed.  _verdict decides, and names the reasons
-    of an undetermined verdict; without uniform observability a unit
-    spectral radius leaves both outcomes open.  An uncertified upper bound
-    is reported with its flags: it is the first, tightest eps attempt's mu_c
-    times the grid inflation, and it bounds nothing.
+    upper_opts, and uniform observability from _observability_rule (nothing
+    is sampled).  _verdict decides, and names the reasons of an undetermined
+    verdict; without uniform observability a unit spectral radius leaves
+    both outcomes open.  An uncertified upper bound is reported with its
+    flags: it is the first, tightest eps attempt's mu_c times the grid
+    inflation, and it bounds nothing.
 
     The lower bound is not rigorous in its last bits: rho_lower reports up
     to 183 ulps above the exact rate e^beta on common_lyapunov_modes
@@ -989,7 +982,7 @@ def finiteness_test(
                                  "minimal realization is zero-dimensional; the gain is 0", 0)
     ms = minreal.sys_min
     est = rho_upper(ms, cls, lower_estimate=rho_lower(ms, cls), **(upper_opts or {}))
-    obs = _uniform_observability(ms, cls, seed)
+    obs = _observability_rule(ms, cls)
     verdict, reasons, rationale = _verdict(est, obs)
     return FinitenessVerdict(verdict, est, obs, rationale, minreal.dim, reasons)
 
@@ -1005,17 +998,16 @@ def tau_min(
 
     Each tau is classified by _verdict from rho_lower at its defaults and,
     unless that lower bound alone decides infinite, rho_upper with
-    upper_opts: infinite rejects tau, finite accepts it.  A lower bound
-    within _UNIT_TOL of 1 is read with finiteness_test's uniform-observability
-    report (seed 0), so both give one verdict at every tau.  An undetermined
-    tau is retried once with half the grid step delta and twice the budget
-    (those of upper_opts, or certification_grid's defaults).  Requires
-    finite 0 <= tau_lo < tau_hi (tol positive and finite).  When tau_lo is
-    not rejected, the result is (0, 0) flagged tau_min_zero if the arbitrary
-    class is accepted, else (0, tau_lo) flagged bracket_lo_not_rejected: that
-    upper end is proven only if tau_lo was accepted, and an undetermined
-    tau_lo leaves it unproven.  A tau_hi that is not accepted raises
-    ValueError.  Undetermined midpoints fall back to
+    upper_opts: infinite rejects tau, finite accepts it.  Every _verdict call
+    reads the tau's _observability_rule report, as finiteness_test does, so
+    both give one verdict at every tau.  An undetermined tau is retried once
+    with half the grid step delta and twice the budget (those of upper_opts,
+    or certification_grid's defaults).  Requires finite
+    0 <= tau_lo < tau_hi (tol positive and finite).  When tau_lo is not
+    rejected, the result is (0, 0) flagged tau_min_zero if the arbitrary
+    class is accepted, else (0, tau_lo) flagged bracket_lo_not_rejected if
+    tau_lo is accepted; an undetermined tau_lo raises ValueError, and so
+    does a tau_hi that is not accepted.  Undetermined midpoints fall back to
     quarter-point probing, and a persistent undetermined zone returns the
     wider interval with an 'undecided_zone' flag.  The bisection stops at
     width tol or after 60 steps.
@@ -1034,16 +1026,11 @@ def tau_min(
 
     def classify(tau):
         cls = SignalClassSpec.from_tau(tau)
+        obs = _observability_rule(ms, cls)
         # the boosted retry changes only the upper bound's options, so it
         # reuses the lower estimate
         lower_est = rho_lower(ms, cls)
-        verdict, reasons, _ = _verdict(lower_est)
-        obs = None
-        if "unit_unobservable" in reasons:
-            # a unit lower bound: uniform observability decides, as in
-            # finiteness_test (the rho_upper estimates keep this lower bound)
-            obs = _uniform_observability(ms, cls)
-            verdict = _verdict(lower_est, obs)[0]
+        verdict = _verdict(lower_est, obs)[0]
         opts = upper_opts or {}
         if verdict == "undetermined":
             verdict = _verdict(rho_upper(ms, cls, lower_estimate=lower_est, **opts), obs)[0]
@@ -1057,9 +1044,12 @@ def tau_min(
                                             "budget": 2 * budget}), obs)[0]
         return verdict
 
-    if classify(tau_lo) != "infinite":
+    lo_verdict = classify(tau_lo)
+    if lo_verdict != "infinite":
         if classify(0.0) == "finite":
             return TauMinResult(0.0, 0.0, flags=("tau_min_zero",))
+        if lo_verdict == "undetermined":
+            raise ValueError("bracket lower end undecidable at the available budget")
         return TauMinResult(0.0, tau_lo, flags=("bracket_lo_not_rejected",))
     hi_verdict = classify(tau_hi)
     if hi_verdict == "infinite":

@@ -15,7 +15,7 @@ supplementary spaces so the output is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class MinimalRealization:
 @dataclass(frozen=True, eq=False)
 class ObservabilityReport:
     per_mode_observable: tuple[bool, ...]
-    gramian_floor: float
+    gramian_floor: float | None      # sampled diagnostic no verdict reads; None if not sampled
     verdict: str                     # uniformly_observable / not_uniformly_observable / inconclusive
 
 
@@ -250,11 +250,7 @@ def _kalman_observable(A, C):
     blocks = [C]
     for _ in range(n - 1):
         blocks.append(blocks[-1] @ A)
-    O = np.vstack(blocks)
-    s = np.linalg.svd(O, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return False
-    return int(np.sum(s > _RANK_RTOL * s[0] * max(O.shape))) == n
+    return _orth(np.vstack(blocks).T, n)[1] == n
 
 
 def _random_class_signal(n_modes, tau, horizon, rng):
@@ -273,6 +269,25 @@ def _random_class_signal(n_modes, tau, horizon, rng):
     return Signal(tuple(segs))
 
 
+def _observability_rule(sys: SystemSpec, cls: SignalClassSpec) -> ObservabilityReport:
+    """Uniform-observability verdict from the per-mode Kalman tests and the dwell floor.
+
+    For a finite mode set under a positive dwell time, observability of every
+    pair (A_i, C_i) is equivalent to uniform observability, so the verdict is
+    certified in that case.  Under arbitrary switching only the necessity
+    direction is certified, and an all-observable outcome stays inconclusive.
+    Nothing is sampled: gramian_floor is None.
+    """
+    per_mode = tuple(_kalman_observable(m.A, m.C) for m in sys.modes)
+    if not all(per_mode):
+        verdict = "not_uniformly_observable"
+    elif cls.dwell_floor > 0:
+        verdict = "uniformly_observable"
+    else:
+        verdict = "inconclusive"
+    return ObservabilityReport(per_mode, None, verdict)
+
+
 def check_uniform_observability(
     sys: SystemSpec,
     cls: SignalClassSpec,
@@ -280,32 +295,21 @@ def check_uniform_observability(
     samples: int = 20,
     seed: int = 0,
 ) -> ObservabilityReport:
-    """Per-mode Kalman tests plus an empirical windowed-Gramian floor.
+    """_observability_rule's report plus a sampled Gramian floor, a diagnostic no verdict reads.
 
-    For a finite mode set under a positive dwell time, observability of every
-    pair (A_i, C_i) is equivalent to uniform observability, so the verdict is
-    certified in that case.  Under arbitrary switching only the necessity
-    direction is certified; an all-observable outcome stays inconclusive and
-    the report carries the sampled floor.
+    The floor is the least observability-Gramian eigenvalue over samples
+    class signals of horizon window, drawn from seed.
     """
-    tau = cls.dwell_floor
+    rule = _observability_rule(sys, cls)
     _check_positive_finite("window", window)
     _check_count("samples", samples, 1)
-    per_mode = tuple(_kalman_observable(m.A, m.C) for m in sys.modes)
 
     rng = np.random.default_rng(seed)
     floor = math.inf
     for _ in range(samples):
-        sig = _random_class_signal(sys.n_modes, tau, window, rng)
+        sig = _random_class_signal(sys.n_modes, cls.dwell_floor, window, rng)
         pair = gramians(sys, sig, 0.0, window)
         lam = np.linalg.eigvalsh(pair.wo)[0] if sys.n else 0.0
         floor = min(floor, float(lam))
     floor = max(floor, 0.0) if floor is not math.inf else 0.0
-
-    if not all(per_mode):
-        verdict = "not_uniformly_observable"
-    elif tau > 0:
-        verdict = "uniformly_observable"
-    else:
-        verdict = "inconclusive"
-    return ObservabilityReport(per_mode, floor, verdict)
+    return replace(rule, gramian_floor=floor)

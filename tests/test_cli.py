@@ -341,9 +341,9 @@ class TestTauMinCommand:
         assert doc["flags"] == ["undecided_zone"]
         assert doc["tau_reject"] <= 1.0 and doc["tau_accept"] >= 1.5
 
-    def test_bracket_lo_not_rejected_exits_two(self, tmp_path):
+    def test_bracket_lo_undecidable_exits_one(self, tmp_path, capsys):
         # A = 0; mode k drives and observes only e_k: rho = 1 at every tau,
-        # never uniformly observable, so no tau is rejected
+        # never uniformly observable, so tau_lo is undetermined
         path = tmp_path / "pair.json"
         path.write_text(json.dumps({"n": 2, "m": 1, "p": 1, "modes": [
             {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]},
@@ -351,10 +351,24 @@ class TestTauMinCommand:
         out = tmp_path / "taumin.json"
         code = main(["taumin", "--system", str(path), "--tau-lo", "0.5", "--tau-hi", "2.0",
                      "--out", str(out)])
-        assert code == 2
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bracket lower end undecidable at the available "
+                                "budget\n")
+
+    def test_bracket_lo_accepted_exits_zero(self, tmp_path):
+        # tau_lo = 1.6 is accepted at grid step 0.001: a proven bracket (0, 1.6)
+        path = tmp_path / "nodes.json"
+        path.write_text(serialize_system(rotated_nodes_pair()))
+        out = tmp_path / "taumin.json"
+        code = main(["taumin", "--system", str(path), "--tau-lo", "1.6", "--tau-hi", "2.0",
+                     "--grid-step", "0.001", "--out", str(out)])
+        assert code == 0
         doc = json.loads(out.read_text())
         assert doc["flags"] == ["bracket_lo_not_rejected"]
-        assert (doc["tau_reject"], doc["tau_accept"]) == (0.0, 0.5)
+        assert (doc["tau_reject"], doc["tau_accept"]) == (0.0, 1.6)
 
 
 class TestMinreal:

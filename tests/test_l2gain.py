@@ -14,6 +14,7 @@ from switchgain import (
     Signal,
     SignalClassSpec,
     SystemSpec,
+    check_uniform_observability,
     finiteness_test,
     gain_for_signal,
     gain_power_lower,
@@ -22,7 +23,7 @@ from switchgain import (
     tau_min,
     validate_membership,
 )
-from switchgain import core, l2gain
+from switchgain import core, l2gain, realization
 from switchgain.gallery import (
     alpha_star,
     common_lyapunov_modes,
@@ -37,6 +38,7 @@ from switchgain.l2gain import (
     _riccati_rows,
     _RiccatiKernel,
 )
+from switchgain.realization import _observability_rule
 from switchgain.spectral import rho_curve
 
 from oracles import (
@@ -1188,6 +1190,40 @@ class TestFinitenessSoundness:
         assert vals[-2] <= vals[-1] + 1e-6  # monotone up to tolerance
 
 
+class TestObservabilityRule:
+    SYSTEMS = {
+        "nodes": rotated_nodes_pair,
+        "example": lambda: example_system(4.5047),
+        "planted9": lambda: planted_reducible_system(2, 1, 1, 2, 1, 1, seed=9)[0],
+        "planted13": lambda: planted_reducible_system(2, 1, 1, 2, 1, 1, seed=13)[0],
+        "integrator_pair": integrator_pair,
+        "observable_integrator": lambda: single_mode([[0.0]], [[1.0]], [[1.0]]),
+        "cqlf": lambda: common_lyapunov_modes(-0.4, (1.0, 2.2)),
+    }
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.4])
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_sampled_report_has_the_rule_verdict(self, name, tau):
+        sysm, cls = self.SYSTEMS[name](), SignalClassSpec.from_tau(tau)
+        rule = _observability_rule(sysm, cls)
+        assert rule.gramian_floor is None
+        for window, samples, seed in ((0.5, 1, 0), (1.0, 4, 3), (3.0, 12, 11)):
+            rep = check_uniform_observability(sysm, cls, window, samples, seed)
+            assert rep.verdict == rule.verdict
+            assert rep.per_mode_observable == rule.per_mode_observable
+            assert rep.gramian_floor >= 0.0
+
+    def test_verdicts_sample_no_gramians(self, monkeypatch):
+        # the unit band is reached: the observable integrator has rho = 1
+        gramians = recording(monkeypatch, realization, "gramians")
+        sysm = single_mode([[0.0]], [[1.0]], [[1.0]])
+        assert finiteness_test(sysm, SignalClassSpec.dwell(1.0)).verdict == "infinite"
+        finiteness_test(rotated_nodes_pair(), SignalClassSpec.dwell(1.4))
+        with pytest.raises(ValueError, match="infinite at tau_hi"):
+            tau_min(sysm, (0.5, 2.0))
+        assert gramians == []
+
+
 class TestTauMin:
     def test_degenerate_bracket_reports_zero(self):
         sysm = common_lyapunov_modes(-0.3, (1.0, 2.0))
@@ -1244,9 +1280,15 @@ class TestTauMin:
         assert (res.tau_reject, res.tau_accept, res.flags) == (0.0, 0.0, ("zero_system",))
 
     def test_bracket_lo_not_rejected(self):
-        # rho at tau = 1.4 lies in [0.806, 2.51], and the arbitrary class is not accepted
-        res = tau_min(rotated_nodes_pair(), (1.4, 2.0))
-        assert (res.tau_reject, res.tau_accept) == (0.0, 1.4)
+        # rho at tau = 1.4 lies in [0.806, 2.51]: undetermined, so nothing
+        # proves tau_accept = 1.4, and the arbitrary class is not accepted
+        with pytest.raises(ValueError, match="^bracket lower end undecidable"):
+            tau_min(rotated_nodes_pair(), (1.4, 2.0))
+
+    def test_bracket_lo_accepted(self):
+        # tau = 1.6 is accepted at delta 0.001: the bracket (0, 1.6) is proven
+        res = tau_min(rotated_nodes_pair(), (1.6, 2.0), upper_opts={"delta": 0.001})
+        assert (res.tau_reject, res.tau_accept) == (0.0, 1.6)
         assert res.flags == ("bracket_lo_not_rejected",)
 
     def test_undecided_zone(self, monkeypatch):
@@ -1288,9 +1330,8 @@ class TestTauMin:
         except ValueError as exc:
             assert "bracket" in str(exc)
         monkeypatch.undo()
-        # a classification reads rho_lower's estimate (again with the
-        # observability report in the unit band), then at most two rho_upper
-        # estimates; the second is the boosted retry's
+        # a classification reads rho_lower's estimate, then at most two
+        # rho_upper estimates; the second is the boosted retry's
         before_retry, upper_read = {}, set()
         for est, verdict in calls:
             if "lower_only" not in est.flags:

@@ -193,6 +193,14 @@ class TestUniformObservability:
         with pytest.raises(ValueError, match="arbitrary and dwell classes"):
             check_uniform_observability(sysm, SignalClassSpec.avg_dwell(1.0, 2), 1.0)
 
+    def test_zero_dimensional_modes_observable(self):
+        # the Kalman rank of an empty state is 0 = n, as _orth counts it
+        sysm = SystemSpec(0, 1, 1, (Mode(np.zeros((0, 0)), np.zeros((0, 1)),
+                                         np.zeros((1, 0))),))
+        rep = check_uniform_observability(sysm, SignalClassSpec.dwell(1.0), 1.0, samples=2)
+        assert rep.per_mode_observable == (True,)
+        assert rep.verdict == "uniformly_observable"
+
     def test_all_observable_arbitrary_inconclusive(self):
         sysm = controllable_single_mode(seed=41)
         rep = check_uniform_observability(sysm, SignalClassSpec.arbitrary(), 1.0, samples=4)
